@@ -20,7 +20,13 @@ from fractions import Fraction
 
 from . import exactalg, formulas, oracle, paths, qseries
 from .core import BoxDims, SymmetryClass
-from .errors import PPSignError, ResourceLimitError
+from .errors import (
+    DomainError,
+    InvalidInputError,
+    PPSignError,
+    ResourceLimitError,
+    UnsupportedClassError,
+)
 from .oracle import WeightKind, WeightTag
 
 EXIT_OK = 0
@@ -59,9 +65,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         node_budget=_env_int("PPSIGN_NODE_BUDGET", oracle.DEFAULT_NODE_BUDGET),
         subset_budget=_env_int("PPSIGN_SUBSET_BUDGET", exactalg.DEFAULT_SUBSET_BUDGET),
     )
-    if getattr(args, "node_budget", None):
+    if getattr(args, "node_budget", None) is not None:
         cfg.node_budget = args.node_budget
-    if getattr(args, "subset_budget", None):
+    if getattr(args, "subset_budget", None) is not None:
         cfg.subset_budget = args.subset_budget
     cfg.output_format = getattr(args, "format", "json")
     cfg.timing = bool(getattr(args, "timing", False))
@@ -195,8 +201,8 @@ def cmd_enumerate(args) -> int:
         return EXIT_USAGE
     try:
         box = _box_for(cls, args)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     methods = ["oracle", "lgv", "formula"] if args.method == "all" else [args.method]
@@ -426,6 +432,12 @@ def _fuzz_rationals(rng: random.Random, count: int) -> list[Fraction]:
     return [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(count)]
 
 
+def _given(value, default):
+    """The flag's value, or the default when the flag was not given; 0 is a
+    value, not a missing flag."""
+    return default if value is None else value
+
+
 def _identity_instances(name: str, args, rng: random.Random):
     """Yield (label, callable) pairs; the callable returns True on success."""
     fuzz = args.fuzz
@@ -443,7 +455,7 @@ def _identity_instances(name: str, args, rng: random.Random):
                     lambda x=x, a=a, b=b: formulas.lemma_detl_check(x, a, b)
                 )
         else:
-            n = args.n or 1
+            n = _given(args.n, 1)
             x = [Fraction(i + 1) for i in range(n)]
             a = [Fraction(i) for i in range(n - 1)]
             b = [Fraction(2 * i + 1) for i in range(n - 1)]
@@ -452,7 +464,7 @@ def _identity_instances(name: str, args, rng: random.Random):
         sweep = (
             [(rng.randint(1, 6), rng.randint(0, 6), rng.randint(0, 1)) for _ in range(fuzz)]
             if fuzz
-            else [(args.alpha or 2, args.beta or 2, args.gamma or 0)]
+            else [(_given(args.alpha, 2), _given(args.beta, 2), _given(args.gamma, 0))]
         )
         for alpha, beta, gamma in sweep:
             yield (
@@ -463,7 +475,7 @@ def _identity_instances(name: str, args, rng: random.Random):
         cases = (
             [(2 * rng.randint(1, 3), rng.randint(0, 6)) for _ in range(fuzz)]
             if fuzz
-            else [(args.alpha or 2, args.b if args.b is not None else 2)]
+            else [(_given(args.alpha, 2), _given(args.b, 2))]
         )
         for alpha, b in cases:
             def check(alpha=alpha, b=b):
@@ -475,7 +487,7 @@ def _identity_instances(name: str, args, rng: random.Random):
         cases = (
             [(rng.randint(1, 6), Fraction(rng.randint(0, 6))) for _ in range(fuzz)]
             if fuzz
-            else [(args.n or 4, Fraction(args.mu if args.mu is not None else 2))]
+            else [(_given(args.n, 4), Fraction(_given(args.mu, 2)))]
         )
         for n, mu in cases:
             yield f"mrr n={n} mu={mu}", (
@@ -517,7 +529,7 @@ def _identity_instances(name: str, args, rng: random.Random):
                 )
             )
     elif name == "recurrence-s4":
-        alphas = [2 * rng.randint(1, 3) for _ in range(fuzz)] if fuzz else [args.alpha or 4]
+        alphas = [2 * rng.randint(1, 3) for _ in range(fuzz)] if fuzz else [_given(args.alpha, 4)]
         for alpha in alphas:
             def check(alpha=alpha):
                 for b in range(0, 9, 2):
@@ -540,13 +552,12 @@ def cmd_identity(args) -> int:
     rng = random.Random(cfg.seed)
     records = []
     failures = 0
-    try:
-        instances = list(_identity_instances(args.name, args, rng))
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    for label, check in instances:
-        ok = bool(check())
+    for label, check in _identity_instances(args.name, args, rng):
+        try:
+            ok = bool(check())
+        except (DomainError, UnsupportedClassError) as exc:
+            print(f"error: {label}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         failures += 0 if ok else 1
         records.append({"identity": label, "result": "PASS" if ok else "FAIL"})
     _emit(records, cfg)
@@ -628,7 +639,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SystemExit as exc:  # usage errors found after parsing
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

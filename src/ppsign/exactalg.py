@@ -2,18 +2,21 @@
 
 Matrices are plain sequences of row sequences; results come back as int
 when the input was integral, Fraction otherwise.  Determinants use
-fraction-free Bareiss elimination, Pfaffians use skew Gaussian elimination
-with an independent perfect-matching cross-check at small sizes.
+fraction-free Bareiss elimination.  A Pfaffian is the integer square root of
+that determinant, signed by one skew elimination modulo a prime, with an
+independent perfect-matching cross-check at small sizes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     DimensionError,
+    InternalConsistencyError,
     InvalidInputError,
     NeedsMoreSamplesError,
     ResourceLimitError,
@@ -71,7 +74,7 @@ def det(m: MatrixLike) -> Rational:
     if n == 0:
         return 1
 
-    scale = Fraction(1)
+    scale = 1
     work: list[list[int]] = []
     integral = True
     for row in rows:
@@ -105,7 +108,7 @@ def det(m: MatrixLike) -> Rational:
             row_i[k] = 0
         prev = pkk
     value = sign * work[n - 1][n - 1]
-    return value if integral else Fraction(value) / scale
+    return value if integral else Fraction(value, scale)
 
 
 def _gcd(a: int, b: int) -> int:
@@ -134,42 +137,61 @@ def _pfaffian_matching_sum(rows: list[list[Rational]]) -> Rational:
     return rec(tuple(range(len(rows))))
 
 
-def _pfaffian_eliminate(rows: list[list[Fraction]]) -> Fraction:
-    """Skew Gaussian elimination; row/column pair swaps carry the sign."""
-    n = len(rows)
-    result = Fraction(1)
+def _sign_primes() -> Iterator[int]:
+    """The odd primes in increasing order, by trial division.
+
+    The sequence is infinite and |Pf| has finitely many prime factors, so a
+    search for one that does not divide |Pf| always ends.
+    """
+    q = 3
+    while True:
+        if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
+            yield q
+        q += 2
+
+
+def _pfaffian_mod(rows: list[list[int]], p: int) -> int:
+    """Pf mod p by skew elimination over GF(p); row/column pair swaps carry
+    the sign.  Returns 0 if the matrix is singular mod p."""
+    a = [[x % p for x in row] for row in rows]
+    n = len(a)
+    value = 1
     for k in range(0, n, 2):
-        pivot = next((j for j in range(k + 1, n) if rows[k][j] != 0), None)
+        pivot = next((j for j in range(k + 1, n) if a[k][j]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != k + 1:
-            rows[k + 1], rows[pivot] = rows[pivot], rows[k + 1]
-            for row in rows:
+            a[k + 1], a[pivot] = a[pivot], a[k + 1]
+            for row in a:
                 row[k + 1], row[pivot] = row[pivot], row[k + 1]
-            result = -result
-        p = rows[k][k + 1]
-        result *= p
-        for j in range(k + 2, n):
-            # congruence update decoupling rows/cols k, k+1 from row/col j
-            c = -rows[k][j] / p
-            d = rows[k + 1][j] / p
-            if c == 0 and d == 0:
-                continue
-            row_j = rows[j]
-            row_k = rows[k]
-            row_k1 = rows[k + 1]
-            for t in range(n):
-                row_j[t] += c * row_k1[t] + d * row_k[t]
-            for t in range(n):
-                rows[t][j] += c * rows[t][k + 1] + d * rows[t][k]
-    return result
+            value = -value
+        row_k, row_k1 = a[k], a[k + 1]
+        value = value * row_k[k + 1] % p
+        inv = pow(row_k[k + 1], -1, p)
+        tail_k, tail_k1 = row_k[k + 2 :], row_k1[k + 2 :]
+        # Schur complement: C[i][j] += (M[k+1][i] M[k][j] - M[k][i] M[k+1][j]) / pivot
+        for i in range(k + 2, n):
+            u = row_k1[i] * inv
+            w = row_k[i] * inv
+            row_i = a[i]
+            row_i[k + 2 :] = [
+                (x + u * y - w * z) % p
+                for x, y, z in zip(row_i[k + 2 :], tail_k, tail_k1)
+            ]
+    return value % p
 
 
 def pfaffian(m: MatrixLike) -> Rational:
     """Pfaffian of a skew-symmetric matrix of even dimension.
 
-    For dimensions up to 8 the elimination result is cross-checked against
-    the direct perfect-matching sum.
+    |Pf| is the integer square root of the Bareiss determinant, after the
+    whole matrix is scaled by one common denominator L (Pf(L M) =
+    L^(n/2) Pf(M); a row-wise scaling would break skewness).  The sign comes
+    from one skew elimination modulo the first prime p of a fixed sequence
+    that does not divide |Pf|: then p does not divide det, the elimination
+    finds every pivot, and for odd p the residues of Pf and -Pf differ.
+    For dimensions up to 8 the result is cross-checked against the direct
+    perfect-matching sum.
     """
     rows = _as_rows(m)
     n = len(rows)
@@ -182,18 +204,31 @@ def pfaffian(m: MatrixLike) -> Rational:
     if n == 0:
         return 1
 
-    integral = all(
-        not isinstance(x, Fraction) or x.denominator == 1 for row in rows for x in row
-    )
-    work = [[Fraction(x) for x in row] for row in rows]
-    value = _pfaffian_eliminate(work)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    work = [[int(x * scale) for x in row] for row in rows]
+    d = det(work)
+    value = 0
+    if d:
+        root = math.isqrt(max(d, 0))
+        if root * root != d:
+            raise InternalConsistencyError(
+                f"determinant {d} of a skew-symmetric matrix is not a square"
+            )
+        p = next(q for q in _sign_primes() if root % q)
+        residue = _pfaffian_mod(work, p)
+        if residue == root % p:
+            value = root
+        elif residue == -root % p:
+            value = -root
+        else:
+            raise InternalConsistencyError(
+                f"Pf mod {p} is {residue}, neither +sqrt(det) nor -sqrt(det)"
+            )
+    result = value if scale == 1 else Fraction(value, scale ** (n // 2))
     if n <= _PFAFFIAN_CHECK_DIM:
         check = _pfaffian_matching_sum(rows)
-        assert value == check, "pfaffian elimination disagrees with definition sum"
-    if integral:
-        assert value.denominator == 1
-        return int(value)
-    return value
+        assert result == check, "pfaffian disagrees with definition sum"
+    return result
 
 
 def sum_of_minors(

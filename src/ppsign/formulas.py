@@ -52,9 +52,9 @@ def _integral(value: Fraction, what: str) -> int:
 
 
 def thm1_tcpp(a: int, b: int) -> int:
-    """Signed count for the a x a x 2b box: 0 when b is odd and a even,
-    else a product of shifted-factorial ratios."""
-    if b % 2 == 1 and a % 2 == 0:
+    """Signed count for the a x a x 2b box: 0 when b is odd and a even and
+    positive, else a product of shifted-factorial ratios."""
+    if b % 2 == 1 and a % 2 == 0 and a > 0:
         return 0
     value = Fraction(1)
     for j in range(1, -(-a // 2)):
@@ -67,7 +67,7 @@ def thm1_tcpp(a: int, b: int) -> int:
 
 def thm2_stcpp(alpha: int, b: int) -> int:
     """Signed count for the 2a x 2a x 2b box, case-split on parities."""
-    if b % 2 == 1:
+    if b % 2 == 1 and alpha > 0:
         return 0
     value = Fraction(1)
     if alpha % 2 == 0:
@@ -86,6 +86,8 @@ def thm2_stcpp(alpha: int, b: int) -> int:
 
 
 def thm4_cstcpp(alpha: int) -> int:
+    if alpha == 0:
+        return 1  # the empty box
     if alpha % 2 == 0:
         return 0
     value = Fraction(1)
@@ -95,6 +97,8 @@ def thm4_cstcpp(alpha: int) -> int:
 
 
 def thm5_tsscpp(alpha: int) -> int:
+    if alpha == 0:
+        return 1  # the empty box
     if alpha % 2 == 0:
         return 0
     value = Fraction(1)
@@ -349,7 +353,7 @@ def lemma_M1(alpha: int, b: int) -> int:
     """Closed form for det of the even-side pool matrix, alpha even."""
     if alpha % 2:
         raise UnsupportedClassError("even alpha only; odd alpha uses a dummy path")
-    if b % 2:
+    if b % 2 and alpha > 0:
         return 0
     value = Fraction(1)
     for k in range(1, alpha // 2 + 1):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import exactalg
@@ -78,15 +79,24 @@ def _skew_double_sum(g: Sequence[Sequence[int]]) -> list[list[int]]:
     return m
 
 
-def _continuity_normalized_pfaffian(builder, alpha: int, b: int) -> int:
-    """Pf of builder(alpha, b), sign-anchored so the b = 0 value is +1."""
-    anchor = exactalg.pfaffian(builder(alpha, 0))
+@lru_cache(maxsize=256)
+def _anchor_pfaffian(pool, alpha: int) -> int:
+    """Pf of the pool's b = 0 matrix: the box is empty there, so it is +-1."""
+    anchor = exactalg.pfaffian(_skew_double_sum(pool(alpha, 0)))
     if anchor not in (1, -1):
         raise InternalConsistencyError(
             f"pipeline anchor at b=0 should be +-1, got {anchor}"
         )
-    value = exactalg.pfaffian(builder(alpha, b)) if b != 0 else anchor
-    return anchor * value
+    return anchor
+
+
+def _continuity_normalized_pfaffian(pool, alpha: int, b: int) -> int:
+    """Pf of the skew matrix of pool(alpha, b), sign-anchored so the b = 0
+    value is +1."""
+    anchor = _anchor_pfaffian(pool, alpha)
+    if b == 0:
+        return 1
+    return anchor * exactalg.pfaffian(_skew_double_sum(pool(alpha, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +156,7 @@ def stcpp_enum(alpha: int, b: int) -> SignedCount:
     The overall sign is anchored by continuity at b = 0, where the box is
     empty and the enumeration is 1.
     """
-
-    def builder(al: int, bb: int):
-        return _skew_double_sum(_stc_even_a_pool(al, bb))
-
-    value = _continuity_normalized_pfaffian(builder, alpha, b)
+    value = _continuity_normalized_pfaffian(_stc_even_a_pool, alpha, b)
     return SignedCount(
         value, "lgv-pfaffian", SymmetryClass.STC,
         BoxDims(2 * alpha, 2 * alpha, 2 * b), "reference: half-full partition",
@@ -215,11 +221,7 @@ def stcpp_odd_matrix(alpha: int, b: int) -> ClassMatrix:
 def stcpp_odd_enum(alpha: int, b: int) -> SignedCount:
     """(-1)-enumeration for the (2a+1) x (2a+1) x 2b box; no closed form,
     but the Pfaffian is exact.  Sign anchored at b = 0 as usual."""
-
-    def builder(al: int, bb: int):
-        return _skew_double_sum(_stc_odd_a_pool(al, bb))
-
-    value = _continuity_normalized_pfaffian(builder, alpha, b)
+    value = _continuity_normalized_pfaffian(_stc_odd_a_pool, alpha, b)
     return SignedCount(
         value, "lgv-pfaffian", SymmetryClass.STC,
         BoxDims(2 * alpha + 1, 2 * alpha + 1, 2 * b),
@@ -268,11 +270,12 @@ def cstcpp_full_det(alpha: int) -> int:
 
 
 def cstcpp_enum(alpha: int) -> SignedCount:
-    """0 for even alpha; else the square of a half-size binomial determinant."""
-    if alpha % 2 == 0:
+    """0 for even alpha > 0; else the square of a half-size binomial
+    determinant (empty, so 1, for the empty box at alpha = 0)."""
+    if alpha % 2 == 0 and alpha > 0:
         value = 0
     else:
-        n = (alpha - 1) // 2
+        n = alpha // 2
         block = [
             [binom(i + j - 1, 2 * j - i) for j in range(1, n + 1)]
             for i in range(1, n + 1)
@@ -291,15 +294,16 @@ def cstcpp_enum(alpha: int) -> SignedCount:
 
 
 def tsscpp_enum(alpha: int) -> SignedCount:
-    """0 for even alpha; else a half-size binomial determinant.
+    """0 for even alpha > 0; else a half-size binomial determinant (empty,
+    so 1, for the empty box at alpha = 0).
 
     The sign is relative to the majority reference partition, the
     conventional choice of weight-1 member.
     """
-    if alpha % 2 == 0:
+    if alpha % 2 == 0 and alpha > 0:
         value = 0
     else:
-        n = (alpha - 1) // 2
+        n = alpha // 2
         block = [
             [binom(i + j - 1, 2 * j - i - 1) for j in range(1, n + 1)]
             for i in range(1, n + 1)
@@ -334,7 +338,7 @@ def tsscpp_pool(alpha: int) -> list[list[int]]:
 def tsscpp_pfaffian_value(alpha: int) -> int:
     """Independent evaluation through the full minor-summation Pfaffian."""
     m = _skew_double_sum(tsscpp_pool(alpha))
-    sign = (-1) ** ((alpha - 1) // 2 % 2)
+    sign = (-1) ** (alpha // 2 % 2)
     return sign * exactalg.pfaffian(m)
 
 

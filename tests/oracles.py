@@ -176,3 +176,36 @@ def det_permutation_expansion(m) -> Fraction:
             term *= m[i][perm[i]]
         total += term
     return total
+
+
+def pfaffian_fraction_elimination(m) -> Fraction:
+    """Pfaffian by skew Gaussian elimination over the rationals; row/column
+    pair swaps carry the sign.  Slow, but it computes the sign directly."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    n = len(rows)
+    result = Fraction(1)
+    for k in range(0, n, 2):
+        pivot = next((j for j in range(k + 1, n) if rows[k][j] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k + 1:
+            rows[k + 1], rows[pivot] = rows[pivot], rows[k + 1]
+            for row in rows:
+                row[k + 1], row[pivot] = row[pivot], row[k + 1]
+            result = -result
+        p = rows[k][k + 1]
+        result *= p
+        for j in range(k + 2, n):
+            # congruence update decoupling rows/cols k, k+1 from row/col j
+            c = -rows[k][j] / p
+            d = rows[k + 1][j] / p
+            if c == 0 and d == 0:
+                continue
+            row_j = rows[j]
+            row_k = rows[k]
+            row_k1 = rows[k + 1]
+            for t in range(n):
+                row_j[t] += c * row_k1[t] + d * row_k[t]
+            for t in range(n):
+                rows[t][j] += c * rows[t][k + 1] + d * rows[t][k]
+    return result

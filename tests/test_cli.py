@@ -159,3 +159,46 @@ def test_flag_beats_environment(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)[0]["value"] == "4"
+
+
+def test_enumerate_empty_box_agrees_on_every_route(capsys):
+    for argv in (
+        ("--class", "tssc", "--alpha", "0"),
+        ("--class", "cstc", "--alpha", "0"),
+        ("--class", "tc", "--a", "0", "--b", "1"),
+        ("--class", "stc", "--a", "0", "--b", "1"),
+    ):
+        code, out, _ = run_cli(capsys, "enumerate", *argv)
+        assert code == 0, argv
+        records = json.loads(out)
+        assert records[-1] == {"verdict": "OK"}, argv
+        assert {r["value"] for r in records if "method" in r} == {"1"}, argv
+
+
+def test_enumerate_negative_side_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--class", "tc", "--a", "-1", "--b", "1")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "nonnegative" in err and "Traceback" not in err
+
+
+def test_zero_flag_values_are_not_replaced_by_defaults(capsys):
+    code, out, err = run_cli(capsys, "identity", "--name", "mrr", "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert "n must be positive" in err
+    code, out, err = run_cli(capsys, "identity", "--name", "m1", "--alpha", "3")
+    assert code == 2
+    assert out == ""
+    assert "even alpha only" in err
+    code, out, _ = run_cli(capsys, "identity", "--name", "2ji", "--beta", "0")
+    assert code == 0
+    assert json.loads(out)[0]["identity"] == "2ji alpha=2 beta=0 gamma=0"
+    for flag in ("--node-budget", "--subset-budget"):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--class", "tc", "--a", "2", "--b", "1", flag, "0"
+        )
+        assert code == 2, flag
+        assert out == ""
+        assert "budgets must be positive" in err

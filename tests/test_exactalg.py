@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppsign import exactalg
-from ppsign.errors import DimensionError, InvalidInputError, ResourceLimitError
+from ppsign.errors import (
+    DimensionError,
+    InternalConsistencyError,
+    InvalidInputError,
+    ResourceLimitError,
+)
 from ppsign.exactalg import Poly
 
-from oracles import det_permutation_expansion
+from oracles import det_permutation_expansion, pfaffian_fraction_elimination
 
 
 def rand_matrix(rng, n, lo=-9, hi=9):
@@ -119,6 +124,92 @@ def test_pfaffian_squared_is_det_quick():
         m = rand_skew(rng, n)
         pf = exactalg.pfaffian(m)
         assert pf * pf == exactalg.det(m)
+
+
+def rand_rational_skew(rng, n):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            m[j][i] = -m[i][j]
+    return m
+
+
+def _swap01(m):
+    out = [row[:] for row in m]
+    out[0], out[1] = out[1], out[0]
+    for row in out:
+        row[0], row[1] = row[1], row[0]
+    return out
+
+
+def _sign_test_matrices(seed):
+    """Random integer and rational skew matrices of dimension 10..20, above
+    the dimension where pfaffian() checks itself by perfect matchings."""
+    rng = random.Random(seed)
+    for n in range(10, 21, 2):
+        yield rand_skew(rng, n)
+        yield rand_rational_skew(rng, n)
+
+
+def test_pfaffian_matches_fraction_elimination_with_sign():
+    for m in _sign_test_matrices(21):
+        pf = exactalg.pfaffian(m)
+        ref = pfaffian_fraction_elimination(m)
+        assert pf == ref
+        integral = all(Fraction(x).denominator == 1 for row in m for x in row)
+        assert isinstance(pf, int) if integral else isinstance(pf, Fraction)
+
+
+def test_pfaffian_congruence_multiplies_by_det():
+    rng = random.Random(22)
+    for m in _sign_test_matrices(23):
+        n = len(m)
+        b = rand_matrix(rng, n, -3, 3)
+        bmbt = exactalg.matmul(exactalg.matmul(b, m), exactalg.transpose(b))
+        assert exactalg.pfaffian(bmbt) == exactalg.det(b) * exactalg.pfaffian(m)
+
+
+def test_pfaffian_index_swap_flips_sign():
+    for m in _sign_test_matrices(24):
+        pf = exactalg.pfaffian(m)
+        assert pf != 0
+        assert exactalg.pfaffian(_swap01(m)) == -pf
+
+
+def test_pfaffian_singular_without_zero_row():
+    rng = random.Random(25)
+    for n in (10, 14, 20):
+        # rank at most n - 2: T (n x (n-2)) A ((n-2) x (n-2)) T^t
+        t = [[rng.randint(-4, 4) for _ in range(n - 2)] for _ in range(n)]
+        a = rand_skew(rng, n - 2)
+        m = exactalg.matmul(exactalg.matmul(t, a), exactalg.transpose(t))
+        assert all(any(row) for row in m)
+        assert exactalg.pfaffian(m) == 0
+        assert exactalg.pfaffian([[Fraction(x, 3) for x in row] for row in m]) == 0
+
+
+def test_pfaffian_sign_falls_back_past_dividing_primes():
+    primes = exactalg._sign_primes()
+    assert [next(primes) for _ in range(8)] == [3, 5, 7, 11, 13, 17, 19, 23]
+    rng = random.Random(26)
+    for n in (10, 16, 20):
+        rest = rand_skew(rng, n - 2)
+        assert exactalg.pfaffian(rest) != 0
+        # |Pf| divisible by the first sign prime, then by the first five
+        for entry in (3, -3, 3 * 5 * 7 * 11 * 13, -3 * 5 * 7 * 11 * 13):
+            m = [[0, entry] + [0] * (n - 2), [-entry, 0] + [0] * (n - 2)]
+            m += [[0, 0] + row for row in rest]
+            pf = exactalg.pfaffian(m)
+            assert pf % entry == 0
+            assert pf == pfaffian_fraction_elimination(m) == entry * exactalg.pfaffian(rest)
+            assert exactalg.pfaffian(_swap01(m)) == -pf
+
+
+def test_pfaffian_rejects_non_square_determinant(monkeypatch):
+    monkeypatch.setattr(exactalg, "det", lambda m: 2)
+    with pytest.raises(InternalConsistencyError):
+        exactalg.pfaffian(rand_skew(random.Random(27), 10))
 
 
 def test_sum_of_minors_trivial_and_budget():

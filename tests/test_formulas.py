@@ -29,6 +29,16 @@ def test_thm4_thm5_values():
     assert [formulas.thm5_tsscpp(a) for a in (1, 2, 3, 4, 5, 6, 7)] == [1, 0, 1, 0, 3, 0, 26]
 
 
+def test_closed_forms_count_the_empty_box_as_one():
+    for b in range(4):
+        assert formulas.thm1_tcpp(0, b) == 1
+        assert formulas.thm2_stcpp(0, b) == 1
+        assert formulas.lemma_M1(0, b) == 1
+    assert formulas.thm4_cstcpp(0) == 1
+    assert formulas.thm5_tsscpp(0) == 1
+    assert formulas.thm7_csscpp(0)[0] == 1
+
+
 def test_thm4_is_square_of_thm5():
     for alpha in range(1, 10):
         assert formulas.thm4_cstcpp(alpha) == formulas.thm5_tsscpp(alpha) ** 2

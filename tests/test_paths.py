@@ -273,6 +273,37 @@ def test_scpp_degenerate():
     assert paths.scpp_enum(2, 0, 4).value == 1
 
 
+def test_empty_box_counts_one_on_every_route():
+    for b in range(4):
+        assert oracle.signed_count(BoxDims(0, 0, 2 * b), SC.TC).value == 1
+        assert paths.tcpp_enum(0, b).value == 1
+        assert paths.stcpp_enum(0, b).value == 1
+    empty = BoxDims(0, 0, 0)
+    assert oracle.signed_count(empty, SC.TSSC).value == 1
+    assert oracle.signed_count(empty, SC.CSTC).value == 1
+    assert paths.tsscpp_enum(0).value == 1
+    assert paths.tsscpp_pfaffian_value(0) == 1
+    assert paths.cstcpp_enum(0).value == 1
+    assert paths.cstcpp_full_det(0) == 1
+
+
+def test_stc_anchor_pfaffian_computed_once_per_pool_and_alpha(monkeypatch):
+    calls = []
+    real = exactalg.pfaffian
+
+    def counting_pfaffian(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(exactalg, "pfaffian", counting_pfaffian)
+    paths._anchor_pfaffian.cache_clear()
+    for b in range(6):
+        paths.stcpp_odd_enum(2, b)
+        paths.stcpp_enum(2, b)
+    # one Pfaffian per b > 0 and route, plus one anchor per route
+    assert len(calls) == 2 * 5 + 2
+
+
 def test_minor_summation_identity():
     rng = random.Random(42)
     # sign-matrix specialization
