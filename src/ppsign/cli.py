@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import exactalg, formulas, oracle, paths, qseries
 from .core import BoxDims, SymmetryClass
 from .errors import (
+    DimensionError,
     DomainError,
     InvalidInputError,
     PPSignError,
@@ -76,6 +77,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.out = getattr(args, "out", None)
     if cfg.node_budget <= 0 or cfg.subset_budget <= 0:
         raise SystemExit("budgets must be positive")
+    for flag in ("fuzz", "max_a", "max_b", "max_c", "max_alpha"):
+        if getattr(args, flag, 0) < 0:
+            raise SystemExit(f"--{flag.replace('_', '-')} must be nonnegative")
     overrides = {}
     for item in getattr(args, "sign_convention", None) or []:
         if "=" not in item:
@@ -555,7 +559,7 @@ def cmd_identity(args) -> int:
     for label, check in _identity_instances(args.name, args, rng):
         try:
             ok = bool(check())
-        except (DomainError, UnsupportedClassError) as exc:
+        except (DimensionError, DomainError, UnsupportedClassError) as exc:
             print(f"error: {label}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         failures += 0 if ok else 1

@@ -322,8 +322,14 @@ def lemma_detl_check(
     return lhs == rhs
 
 
+def _require_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise DomainError(f"{name} must be nonnegative, got {value}")
+
+
 def lemma_2ji(alpha: int, beta: int, gamma: int) -> int:
     """Binomial determinant and its product form; asserted equal."""
+    _require_nonnegative("alpha", alpha)
     if gamma not in (0, 1):
         raise DomainError("gamma must be 0 or 1")
     matrix = [
@@ -351,6 +357,8 @@ def lemma_2ji(alpha: int, beta: int, gamma: int) -> int:
 
 def lemma_M1(alpha: int, b: int) -> int:
     """Closed form for det of the even-side pool matrix, alpha even."""
+    _require_nonnegative("alpha", alpha)
+    _require_nonnegative("b", b)
     if alpha % 2:
         raise UnsupportedClassError("even alpha only; odd alpha uses a dummy path")
     if b % 2 and alpha > 0:
@@ -401,6 +409,7 @@ def _binom_poly(top: Rational, k: int) -> Fraction:
 def mtilde_recurrence_residual(alpha: int, b: int, i: int, j: int) -> Fraction:
     """Difference between the two sides of the first-order recurrence
     satisfied by the reduced-matrix entries (zero when it holds)."""
+    _require_nonnegative("alpha", alpha)
     m = paths.mtilde_entry
     lhs = (j + i - 1) * m(alpha, b, i, j) + 2 * (2 * j + 2 * i - 1) * m(
         alpha, b, i + 1, j
@@ -435,6 +444,7 @@ def mtilde_combination_poly(alpha: int, t: int, j: int, extra: int = 4) -> Poly:
 
 def mtilde_divisibility_holds(alpha: int, t: int, j: int) -> bool:
     """Whether ((alpha+b)/2 - t + 1/2)_{2t} divides the row combination."""
+    _require_nonnegative("alpha", alpha)
     x = Poly.x()
     divisor = _rising_poly(
         (x + alpha) * Fraction(1, 2) - t + Fraction(1, 2), 2 * t

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 from . import core
@@ -301,57 +302,34 @@ def weighted_count(
 
 def count_vsasm(n: int, limit: int = DEFAULT_VSASM_LIMIT) -> int:
     """Number of n x n alternating sign matrices invariant under
-    left-right reflection, by monotone-triangle generation plus filter."""
+    left-right reflection, counted over monotone triangles.
+
+    ASMs of order n correspond one to one to monotone triangles with
+    bottom row 1..n: row k of the triangle, counted from the top, is the
+    set of columns whose partial column sum over the top k matrix rows is
+    1, and matrix row k is the indicator of triangle row k minus that of
+    row k - 1.  So every matrix row is symmetric under j -> n+1-j exactly
+    when every triangle row is.  The count therefore runs over symmetric
+    rows only, memoised per row, and builds no matrices.
+    """
     if n < 1:
         raise InvalidInputError(f"matrix size must be positive, got {n}")
     if n % 2 == 0:
         return 0  # parity obstruction: middle column argument
     if n > limit:
         raise ResourceLimitError(f"vsasm size {n} exceeds configured limit {limit}")
-    count = 0
-    for matrix in _alternating_sign_matrices(n):
-        if all(matrix[i][j] == matrix[i][n - 1 - j] for i in range(n) for j in range(n)):
-            count += 1
-    return count
 
+    @lru_cache(maxsize=None)
+    def count(row: tuple[int, ...]) -> int:
+        if len(row) == 1:
+            return 1
+        # rows above: weakly interlacing with row, strictly increasing
+        candidates = product(*(range(lo, hi + 1) for lo, hi in zip(row, row[1:])))
+        return sum(
+            count(above)
+            for above in candidates
+            if all(x < y for x, y in zip(above, above[1:]))
+            and all(x + y == n + 1 for x, y in zip(above, reversed(above)))
+        )
 
-def _alternating_sign_matrices(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All ASMs of order n via monotone triangles with bottom row 1..n."""
-
-    def rows_above(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        # strictly increasing rows, weakly interlacing with the row below
-        size = len(row) - 1
-
-        def pick(idx: int, minimum: int, chosen: tuple[int, ...]):
-            if idx == size:
-                yield chosen
-                return
-            for v in range(max(row[idx], minimum), row[idx + 1] + 1):
-                yield from pick(idx + 1, v + 1, chosen + (v,))
-
-        yield from pick(0, 1, ())
-
-    def build(triangle: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
-        if len(triangle[-1]) == 1:
-            yield triangle
-            return
-        for above in rows_above(triangle[-1]):
-            triangle.append(above)
-            yield from build(triangle)
-            triangle.pop()
-
-    bottom = tuple(range(1, n + 1))
-    for triangle in build([bottom]):
-        rows = list(reversed(triangle))  # top row first
-        matrix = []
-        previous: set[int] = set()
-        for row in rows:
-            current = set(row)
-            matrix.append(
-                tuple(
-                    (1 if j in current else 0) - (1 if j in previous else 0)
-                    for j in range(1, n + 1)
-                )
-            )
-            previous = current
-        yield tuple(matrix)
+    return count(tuple(range(1, n + 1)))

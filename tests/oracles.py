@@ -59,11 +59,15 @@ def cells_of(pp: PlanePartition) -> frozenset[Cell]:
     return frozenset(pp.cells())
 
 
-def cellset_satisfies(pp: PlanePartition, cls: SymmetryClass) -> bool:
-    """Class membership straight from the cell-set definitions."""
+def cellset_satisfies(
+    pp: PlanePartition, cls: SymmetryClass, cells: frozenset[Cell] | None = None
+) -> bool:
+    """Class membership straight from the cell-set definitions; cells, when
+    given, must be cells_of(pp)."""
     box = pp.box
     a, b, c = box.a, box.b, box.c
-    cells = cells_of(pp)
+    if cells is None:
+        cells = cells_of(pp)
 
     def sym(f):
         return all(f(x) in cells for x in cells)
@@ -209,3 +213,59 @@ def pfaffian_fraction_elimination(m) -> Fraction:
             for t in range(n):
                 rows[t][j] += c * rows[t][k + 1] + d * rows[t][k]
     return result
+
+
+# ---------------------------------------------------------------------------
+# alternating sign matrices, built one by one
+
+
+def alternating_sign_matrices(n: int):
+    """All ASMs of order n via monotone triangles with bottom row 1..n."""
+
+    def rows_above(row: tuple[int, ...]):
+        # strictly increasing rows, weakly interlacing with the row below
+        size = len(row) - 1
+
+        def pick(idx: int, minimum: int, chosen: tuple[int, ...]):
+            if idx == size:
+                yield chosen
+                return
+            for v in range(max(row[idx], minimum), row[idx + 1] + 1):
+                yield from pick(idx + 1, v + 1, chosen + (v,))
+
+        yield from pick(0, 1, ())
+
+    def build(triangle: list[tuple[int, ...]]):
+        if len(triangle[-1]) == 1:
+            yield triangle
+            return
+        for above in rows_above(triangle[-1]):
+            triangle.append(above)
+            yield from build(triangle)
+            triangle.pop()
+
+    bottom = tuple(range(1, n + 1))
+    for triangle in build([bottom]):
+        rows = list(reversed(triangle))  # top row first
+        matrix = []
+        previous: set[int] = set()
+        for row in rows:
+            current = set(row)
+            matrix.append(
+                tuple(
+                    (1 if j in current else 0) - (1 if j in previous else 0)
+                    for j in range(1, n + 1)
+                )
+            )
+            previous = current
+        yield tuple(matrix)
+
+
+def vsasm_count_by_filter(n: int) -> int:
+    """ASMs of order n equal to their left-right mirror image, by building
+    every ASM and keeping the symmetric ones."""
+    return sum(
+        1
+        for matrix in alternating_sign_matrices(n)
+        if all(row == row[::-1] for row in matrix)
+    )

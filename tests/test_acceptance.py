@@ -13,7 +13,7 @@ from ppsign.core import BoxDims, SymmetryClass
 from ppsign.errors import SingularParameterError
 from ppsign.oracle import WeightKind, WeightTag
 
-from oracles import gaussian_binomial_at
+from oracles import gaussian_binomial_at, pfaffian_fraction_elimination
 
 SC = SymmetryClass
 
@@ -117,9 +117,9 @@ def test_criterion_5_vsasm_remark_alpha_three():
 
 
 def test_vsasm_corrected_relation():
-    # the remark's relation beyond alpha = 3, up to the oracle's order limit
-    for alpha in (1, 3, 5, 7):
-        assert formulas.thm5_tsscpp(alpha) == oracle.count_vsasm(alpha)
+    # the remark's relation beyond alpha = 3, up to order 11
+    for alpha in (1, 3, 5, 7, 9, 11):
+        assert formulas.thm5_tsscpp(alpha) == oracle.count_vsasm(alpha, limit=11)
 
 
 def test_criterion_6_scpp_even():
@@ -230,7 +230,7 @@ def test_criterion_9_identity_suite():
 
 
 def test_criterion_10_kernel_properties():
-    with Criterion(10, "kernels: Pf^2 = det, q-binomials at -1, box counts", 30):
+    with Criterion(10, "kernels: Pf == fraction elimination, q-binomials at -1, box counts", 30):
         rng = random.Random(555)
         for _ in range(200):
             n = rng.choice([2, 4, 6, 8, 10])
@@ -239,8 +239,7 @@ def test_criterion_10_kernel_properties():
                 for j in range(i + 1, n):
                     m[i][j] = rng.randint(-9, 9)
                     m[j][i] = -m[i][j]
-            pf = exactalg.pfaffian(m)
-            assert pf * pf == exactalg.det(m)
+            assert exactalg.pfaffian(m) == pfaffian_fraction_elimination(m)
         for n in range(0, 21):
             for k in range(0, n + 1):
                 assert qseries.qbinom_minus1(n, k) == gaussian_binomial_at(n, k, -1)

@@ -202,3 +202,37 @@ def test_zero_flag_values_are_not_replaced_by_defaults(capsys):
         assert code == 2, flag
         assert out == ""
         assert "budgets must be positive" in err
+
+
+def test_negative_counts_are_usage_errors(capsys):
+    for argv in (
+        ("identity", "--name", "detl", "--fuzz", "-5"),
+        ("verify", "--class", "tc", "--max-a", "-3"),
+        ("verify", "--class", "tc", "--max-b", "-1"),
+        ("verify", "--class", "sc", "--max-c", "-2"),
+        ("verify", "--class", "cstc", "--max-alpha", "-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, argv
+        assert f"{argv[-2]} must be nonnegative" in err, argv
+
+
+def test_identity_out_of_domain_alpha_is_usage_error(capsys):
+    for name, alpha in (("2ji", "-3"), ("m1", "-2"), ("recurrence-s4", "-2")):
+        code, out, err = run_cli(capsys, "identity", "--name", name, "--alpha", alpha)
+        assert code == 2, name
+        assert out == ""
+        assert "alpha must be nonnegative" in err, name
+    code, out, err = run_cli(capsys, "identity", "--name", "m1", "--b", "-2")
+    assert code == 2
+    assert "b must be nonnegative" in err
+    code, out, err = run_cli(capsys, "identity", "--name", "recurrence-s4", "--alpha", "3")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    for name in ("2ji", "m1", "recurrence-s4"):
+        code, out, _ = run_cli(capsys, "identity", "--name", name, "--alpha", "0")
+        assert code == 0, name
+        assert json.loads(out)[0]["result"] == "PASS", name

@@ -122,8 +122,9 @@ def test_pfaffian_squared_is_det_quick():
     for _ in range(60):
         n = rng.choice([2, 4, 6, 8, 10, 12])
         m = rand_skew(rng, n)
-        pf = exactalg.pfaffian(m)
-        assert pf * pf == exactalg.det(m)
+        # Pf^2 = det holds by construction; the elimination checks value
+        # and sign independently
+        assert exactalg.pfaffian(m) == pfaffian_fraction_elimination(m)
 
 
 def rand_rational_skew(rng, n):

@@ -151,3 +151,19 @@ def test_theorems_against_oracle_spot():
     assert formulas.thm1_tcpp(4, 1) == oracle.signed_count(BoxDims(4, 4, 2), SC.TC).value
     assert formulas.thm2_stcpp(2, 1) == oracle.signed_count(BoxDims(4, 4, 2), SC.STC).value
     assert formulas.thm6_scpp(4, 2, 2) == oracle.signed_count(BoxDims(4, 2, 2), SC.SC).value
+
+
+def test_negative_alpha_or_b_is_out_of_domain():
+    with pytest.raises(DomainError):
+        formulas.lemma_2ji(-3, 2, 0)
+    with pytest.raises(DomainError):
+        formulas.lemma_M1(-2, 2)
+    with pytest.raises(DomainError):
+        formulas.lemma_M1(2, -2)
+    with pytest.raises(DomainError):
+        formulas.mtilde_recurrence_residual(-2, 2, 1, 1)
+    with pytest.raises(DomainError):
+        formulas.mtilde_divisibility_holds(-2, 1, 1)
+    # alpha = 0 is the empty matrix and stays valid
+    assert formulas.lemma_2ji(0, 2, 0) == 1
+    assert formulas.lemma_M1(0, 2) == 1

@@ -7,6 +7,8 @@ from ppsign.core import BoxDims, SymmetryClass
 from ppsign.errors import ResourceLimitError, UnsupportedClassError
 from ppsign.oracle import WeightKind, WeightTag
 
+from oracles import alternating_sign_matrices, vsasm_count_by_filter
+
 SC = SymmetryClass
 
 
@@ -130,16 +132,21 @@ def test_count_vsasm_limits():
         oracle.count_vsasm(0)
 
 
+def test_count_vsasm_matches_asm_filter():
+    for n in range(1, 8):
+        assert oracle.count_vsasm(n) == vsasm_count_by_filter(n), n
+
+
 def test_asm_total_counts():
     # 1, 2, 7, 42 alternating sign matrices of orders 1..4
     totals = [
-        sum(1 for _ in oracle._alternating_sign_matrices(n)) for n in range(1, 5)
+        sum(1 for _ in alternating_sign_matrices(n)) for n in range(1, 5)
     ]
     assert totals == [1, 2, 7, 42]
 
 
 def test_asm_matrices_are_alternating():
-    for m in oracle._alternating_sign_matrices(4):
+    for m in alternating_sign_matrices(4):
         for row in m:
             assert sum(row) == 1
             partial = 0
