@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
+from itertools import product
+from typing import Callable
 
 from . import exactalg, formulas, oracle, paths, qseries
 from .core import BoxDims, SymmetryClass
@@ -28,7 +31,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedClassError,
 )
-from .oracle import WeightKind, WeightTag
+from .oracle import SignedCount, WeightKind, WeightTag
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -45,7 +48,6 @@ class RunConfig:
     strict: bool = False
     seed: int = 0
     out: str | None = None
-    sign_overrides: dict[str, str] | None = None
 
 
 def _env_int(name: str, default: int) -> int:
@@ -80,13 +82,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for flag in ("fuzz", "max_a", "max_b", "max_c", "max_alpha"):
         if getattr(args, flag, 0) < 0:
             raise SystemExit(f"--{flag.replace('_', '-')} must be nonnegative")
-    overrides = {}
-    for item in getattr(args, "sign_convention", None) or []:
-        if "=" not in item:
-            raise SystemExit("--sign-convention expects class=label")
-        key, label = item.split("=", 1)
-        overrides[key] = label
-    cfg.sign_overrides = overrides or None
     return cfg
 
 
@@ -95,15 +90,10 @@ def _emit(records: list[dict], cfg: RunConfig) -> None:
         text = json.dumps(records, sort_keys=True, indent=2)
     elif cfg.output_format == "tsv":
         keys = sorted({k for r in records for k in r})
-        lines = ["\t".join(keys)]
-        for r in records:
-            lines.append("\t".join(str(r.get(k, "")) for k in keys))
-        text = "\n".join(lines)
+        rows = ["\t".join(str(r.get(k, "")) for k in keys) for r in records]
+        text = "\n".join(["\t".join(keys), *rows])
     else:
-        lines = []
-        for r in records:
-            lines.append("  ".join(f"{k}={v}" for k, v in sorted(r.items())))
-        text = "\n".join(lines)
+        text = "\n".join("  ".join(f"{k}={v}" for k, v in sorted(r.items())) for r in records)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text + "\n")
@@ -111,12 +101,140 @@ def _emit(records: list[dict], cfg: RunConfig) -> None:
         print(text)
 
 
-def _value_str(v) -> str:
-    return str(v)
+# ---------------------------------------------------------------------------
+# the symmetry classes
+
+SIGNED, ABSOLUTE, CONJECTURE = "signed", "absolute", "conjecture"
+ORBIT_WEIGHT = "cyclic-orbit-weight"
+_ORBIT_WEIGHT_KIND = WeightKind(WeightTag.QORBITS, Fraction(-1))
+
+
+@dataclass(frozen=True)
+class ClassSpec:
+    """A symmetry class on one lattice of boxes, with the routes that count it.
+
+    ``sweep`` holds the parameters as (name, first, step); verify runs each
+    from ``first`` in steps of ``step`` up to its ``--max-<name>`` flag.
+    ``box`` and ``params`` map parameters to their box and back.  ``lgv``
+    and ``formula`` take the parameters; ``convention`` labels the formula's
+    sign.  ``compare`` is SIGNED, ABSOLUTE (the cyclic orbit weight is then
+    the square of the signed count) or CONJECTURE (absolute values, and a
+    mismatch is a FINDING).  ``routes`` orders a verify row's values, and
+    verify runs the oracle on at most ``oracle_max_volume`` cells.
+    """
+
+    cls: SymmetryClass
+    sweep: tuple[tuple[str, int, int], ...]
+    box: Callable[..., BoxDims]
+    params: Callable[[BoxDims], tuple[int, ...]]
+    routes: tuple[str, ...]
+    lgv: Callable[..., SignedCount] | None = None
+    formula: Callable[..., int] | None = None
+    convention: str = ""
+    compare: str = SIGNED
+    oracle_max_volume: float = math.inf
+
+    def fits(self, box: BoxDims) -> bool:
+        """Whether the box lies on this entry's parameter lattice."""
+        params = self.params(box)
+        return self.box(*params) == box and all(
+            (p - first) % step == 0 for p, (_, first, step) in zip(params, self.sweep)
+        )
+
+
+def _cube(alpha: int) -> BoxDims:
+    return BoxDims(2 * alpha, 2 * alpha, 2 * alpha)
+
+
+# the lattices shared by several entries, as (sweep, box, params)
+_CUBES = (("alpha", 1, 1),), _cube, lambda box: (box.a // 2,)
+_STC_SWEEP, _STC_PARAMS = (("alpha", 1, 1), ("b", 0, 1)), lambda box: (box.a // 2, box.c // 2)
+_HALF_FULL = "reference: half-full partition"
+_ALL_ROUTES = ("oracle", "lgv", "formula")
+
+# Each route looks its function up on the module when it runs, so that a
+# wrapper set on the module after import (the bench tracer, a test double)
+# sees the call.  Verify sweeps the entries in this order.
+_SPECS = {
+    "tc": ClassSpec(
+        SymmetryClass.TC, (("a", 1, 1), ("b", 0, 1)),
+        lambda a, b: BoxDims(a, a, 2 * b), lambda box: (box.a, box.c // 2), _ALL_ROUTES,
+        lgv=lambda *p: paths.tcpp_enum(*p),
+        formula=lambda *p: formulas.thm1_tcpp(*p), convention=_HALF_FULL,
+    ),
+    "stc": ClassSpec(
+        SymmetryClass.STC, _STC_SWEEP, lambda alpha, b: BoxDims(2 * alpha, 2 * alpha, 2 * b),
+        _STC_PARAMS, ("lgv", "formula", "oracle"),
+        lgv=lambda *p: paths.stcpp_enum(*p),
+        formula=lambda *p: formulas.thm2_stcpp(*p), convention=_HALF_FULL,
+        oracle_max_volume=1000,
+    ),
+    "stc-odd": ClassSpec(
+        SymmetryClass.STC, _STC_SWEEP,
+        lambda alpha, b: BoxDims(2 * alpha + 1, 2 * alpha + 1, 2 * b), _STC_PARAMS,
+        ("lgv", "oracle"), lgv=lambda *p: paths.stcpp_odd_enum(*p),
+    ),
+    "cstc": ClassSpec(
+        SymmetryClass.CSTC, *_CUBES, _ALL_ROUTES,
+        lgv=lambda *p: paths.cstcpp_enum(*p),
+        formula=lambda *p: formulas.thm4_cstcpp(*p), convention="reference: majority partition",
+    ),
+    "tssc": ClassSpec(
+        SymmetryClass.TSSC, *_CUBES, _ALL_ROUTES,
+        lgv=lambda *p: paths.tsscpp_enum(*p),
+        formula=lambda *p: formulas.thm5_tsscpp(*p), convention="absolute (sign conventional)",
+    ),
+    "sc": ClassSpec(
+        SymmetryClass.SC, (("a", 2, 2), ("b", 2, 2), ("c", 2, 2)), BoxDims, astuple, _ALL_ROUTES,
+        lgv=lambda *p: paths.scpp_enum(*p),
+        formula=lambda *p: formulas.thm6_scpp(*p), convention=_HALF_FULL,
+    ),
+    "sc-odd": ClassSpec(
+        SymmetryClass.SC, (("a", 2, 2), ("b", 1, 2), ("c", 1, 2)), BoxDims, astuple,
+        ("oracle", "formula"), formula=lambda *p: formulas.conj_scpp_odd(*p),
+        convention="absolute (conjecture)", compare=CONJECTURE,
+    ),
+    "cssc": ClassSpec(
+        SymmetryClass.CSSC, *_CUBES, ("oracle", ORBIT_WEIGHT, "formula"),
+        formula=lambda *p: formulas.thm7_csscpp(*p)[0],
+        convention="absolute (sign conjectured +1)", compare=ABSOLUTE,
+    ),
+}
+_CLASSES = {spec.cls.value: spec.cls for spec in _SPECS.values()}
+
+
+def _short_name(name: str) -> str:
+    """A long class name drops its "pp": tcpp -> tc, scpp-odd -> sc-odd."""
+    base, dash, rest = name.partition("-")
+    return base.removesuffix("pp") + dash + rest
+
+
+def _route(route: str, cls: SymmetryClass, spec: ClassSpec | None, box: BoxDims,
+           cfg: RunConfig) -> tuple[int, str]:
+    """The value one route gives on the box, with its sign-convention label."""
+    if route == "oracle":
+        sc = oracle.signed_count(box, cls, cfg.node_budget)
+        return sc.value, sc.sign_convention
+    if route == ORBIT_WEIGHT:
+        return oracle.weighted_count(
+            box, SymmetryClass.CYCLIC, _ORBIT_WEIGHT_KIND, cfg.node_budget
+        ), ""
+    if route == "lgv":
+        sc = spec.lgv(*spec.params(box))
+        return sc.value, sc.sign_convention
+    return spec.formula(*spec.params(box)), spec.convention
+
+
+def _agree(values: dict[str, int], compare: str) -> bool:
+    norm = abs if compare != SIGNED else (lambda v: v)
+    agree = len({norm(v) for route, v in values.items() if route != ORBIT_WEIGHT}) <= 1
+    if ORBIT_WEIGHT in values:
+        agree = agree and values["oracle"] ** 2 == abs(values[ORBIT_WEIGHT])
+    return agree
 
 
 # ---------------------------------------------------------------------------
-# method dispatch
+# enumerate
 
 
 def _box_for(cls: SymmetryClass, args) -> BoxDims:
@@ -124,82 +242,18 @@ def _box_for(cls: SymmetryClass, args) -> BoxDims:
         if args.a is None or args.b is None:
             raise SystemExit("tc/stc need --a and --b (box a x a x 2b)")
         return BoxDims(args.a, args.a, 2 * args.b)
-    if cls in (SymmetryClass.CSTC, SymmetryClass.TSSC, SymmetryClass.CSSC):
-        if args.alpha is None:
-            raise SystemExit(f"{cls.value} needs --alpha (box (2a)^3)")
-        side = 2 * args.alpha
-        return BoxDims(side, side, side)
     if cls is SymmetryClass.SC:
         if args.a is None or args.b is None or args.c is None:
             raise SystemExit("sc needs --a, --b and --c")
         return BoxDims(args.a, args.b, args.c)
-    raise SystemExit(f"enumerate does not support class {cls.value}")
-
-
-def _lgv_value(cls: SymmetryClass, box: BoxDims):
-    if cls is SymmetryClass.TC:
-        return paths.tcpp_enum(box.a, box.c // 2)
-    if cls is SymmetryClass.STC:
-        if box.a % 2 == 0:
-            return paths.stcpp_enum(box.a // 2, box.c // 2)
-        return paths.stcpp_odd_enum((box.a - 1) // 2, box.c // 2)
-    if cls is SymmetryClass.CSTC:
-        return paths.cstcpp_enum(box.a // 2)
-    if cls is SymmetryClass.TSSC:
-        return paths.tsscpp_enum(box.a // 2)
-    if cls is SymmetryClass.SC:
-        if box.a % 2 == 0 and box.b % 2 == 0 and box.c % 2 == 0:
-            return paths.scpp_enum(box.a, box.b, box.c)
-        return None
-    return None
-
-
-def _formula_value(cls: SymmetryClass, box: BoxDims):
-    if cls is SymmetryClass.TC:
-        return formulas.thm1_tcpp(box.a, box.c // 2), "reference: half-full partition"
-    if cls is SymmetryClass.STC:
-        if box.a % 2 == 0:
-            return (
-                formulas.thm2_stcpp(box.a // 2, box.c // 2),
-                "reference: half-full partition",
-            )
-        return None
-    if cls is SymmetryClass.CSTC:
-        return formulas.thm4_cstcpp(box.a // 2), "reference: majority partition"
-    if cls is SymmetryClass.TSSC:
-        return formulas.thm5_tsscpp(box.a // 2), "absolute (sign conventional)"
-    if cls is SymmetryClass.SC:
-        if box.a % 2 == 0 and box.b % 2 == 0 and box.c % 2 == 0:
-            return formulas.thm6_scpp(box.a, box.b, box.c), "reference: half-full partition"
-        if box.a % 2 == 0 and box.b % 2 == 1 and box.c % 2 == 1:
-            return formulas.conj_scpp_odd(box.a, box.b, box.c), "absolute (conjecture)"
-        return None
-    if cls is SymmetryClass.CSSC:
-        value, tag = formulas.thm7_csscpp(box.a // 2)
-        return value, f"absolute ({tag})"
-    return None
-
-
-_CLASS_NAMES = {
-    "tc": SymmetryClass.TC,
-    "stc": SymmetryClass.STC,
-    "cstc": SymmetryClass.CSTC,
-    "tssc": SymmetryClass.TSSC,
-    "sc": SymmetryClass.SC,
-    "cssc": SymmetryClass.CSSC,
-    # long aliases
-    "tcpp": SymmetryClass.TC,
-    "stcpp": SymmetryClass.STC,
-    "cstcpp": SymmetryClass.CSTC,
-    "tsscpp": SymmetryClass.TSSC,
-    "scpp": SymmetryClass.SC,
-    "csscpp": SymmetryClass.CSSC,
-}
+    if args.alpha is None:
+        raise SystemExit(f"{cls.value} needs --alpha (box (2a)^3)")
+    return _cube(args.alpha)
 
 
 def cmd_enumerate(args) -> int:
     cfg = _config_from_args(args)
-    cls = _CLASS_NAMES.get(args.cls)
+    cls = _CLASSES.get(_short_name(args.cls))
     if cls is None:
         print(f"unknown class {args.cls!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -208,60 +262,43 @@ def cmd_enumerate(args) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # an SC box whose sides fit neither parity pattern has the oracle alone
+    spec = next((s for s in _SPECS.values() if s.cls is cls and s.fits(box)), None)
 
     methods = ["oracle", "lgv", "formula"] if args.method == "all" else [args.method]
     records = []
-    absolute_only = False
     values = {}
     for method in methods:
+        if method != "oracle" and (spec is None or method not in spec.routes):
+            if args.method != "all":
+                what = "path pipeline" if method == "lgv" else "closed form"
+                print(f"no {what} for {cls.value} on {box}", file=sys.stderr)
+                return EXIT_USAGE
+            continue
         started = time.monotonic()
         try:
-            if method == "oracle":
-                sc = oracle.signed_count(box, cls, cfg.node_budget)
-                value, convention = sc.value, sc.sign_convention
-            elif method == "lgv":
-                sc = _lgv_value(cls, box)
-                if sc is None:
-                    if args.method != "all":
-                        print(f"no path pipeline for {cls.value} on {box}", file=sys.stderr)
-                        return EXIT_USAGE
-                    continue
-                value, convention = sc.value, sc.sign_convention
-            else:
-                pair = _formula_value(cls, box)
-                if pair is None:
-                    if args.method != "all":
-                        print(f"no closed form for {cls.value} on {box}", file=sys.stderr)
-                        return EXIT_USAGE
-                    continue
-                value, convention = pair
+            value, convention = _route(method, cls, spec, box, cfg)
         except ResourceLimitError as exc:
             print(f"budget: {exc}", file=sys.stderr)
             return EXIT_BUDGET if cfg.strict else EXIT_OK
         except PPSignError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if cfg.sign_overrides and cls.value in cfg.sign_overrides:
-            convention = cfg.sign_overrides[cls.value]
         record = {
             "class": cls.value,
             "box": [box.a, box.b, box.c],
             "method": method,
-            "value": _value_str(value),
+            "value": str(value),
             "sign_convention": convention,
         }
         if cfg.timing:
             record["elapsed_ms"] = int((time.monotonic() - started) * 1000)
         records.append(record)
         values[method] = value
-        if "absolute" in convention:
-            absolute_only = True
 
     exit_code = EXIT_OK
     if args.method == "all" and len(values) > 1:
-        norm = (abs if absolute_only else (lambda v: v))
-        reference = norm(next(iter(values.values())))
-        agree = all(norm(v) == reference for v in values.values())
+        agree = _agree(values, spec.compare)
         records.append({"verdict": "OK" if agree else "MISMATCH"})
         if not agree:
             exit_code = EXIT_MISMATCH
@@ -273,118 +310,27 @@ def cmd_enumerate(args) -> int:
 # verification sweeps
 
 
-def _sweep_rows(cls_name: str, args, cfg: RunConfig):
-    max_a = args.max_a
-    max_b = args.max_b
-    max_c = args.max_c
-    max_alpha = args.max_alpha
-
-    if cls_name == "tc":
-        for a in range(1, max_a + 1):
-            for b in range(0, max_b + 1):
-                yield {"class": "tc", "params": {"a": a, "b": b}}
-    elif cls_name == "stc":
-        for alpha in range(1, max_alpha + 1):
-            for b in range(0, max_b + 1):
-                yield {"class": "stc", "params": {"alpha": alpha, "b": b}}
-    elif cls_name == "stc-odd":
-        for alpha in range(1, max_alpha + 1):
-            for b in range(0, max_b + 1):
-                yield {"class": "stc-odd", "params": {"alpha": alpha, "b": b}}
-    elif cls_name in ("cstc", "tssc", "cssc"):
-        for alpha in range(1, max_alpha + 1):
-            yield {"class": cls_name, "params": {"alpha": alpha}}
-    elif cls_name == "sc":
-        for a in range(2, max_a + 1, 2):
-            for b in range(2, max_b + 1, 2):
-                for c in range(2, max_c + 1, 2):
-                    yield {"class": "sc", "params": {"a": a, "b": b, "c": c}}
-    elif cls_name == "sc-odd":
-        for a in range(2, max_a + 1, 2):
-            for b in range(1, max_b + 1, 2):
-                for c in range(1, max_c + 1, 2):
-                    yield {"class": "sc-odd", "params": {"a": a, "b": b, "c": c}}
-    else:
-        raise SystemExit(f"unknown verify class {cls_name!r}")
-
-
-def _verify_row(row: dict, cfg: RunConfig) -> dict:
-    cls_name = row["class"]
-    p = row["params"]
-    values: dict[str, object] = {}
-    status = "OK"
+def _verify_row(name: str, params: tuple[int, ...], cfg: RunConfig) -> dict:
+    spec = _SPECS[name]
+    box = spec.box(*params)
+    values: dict[str, int] = {}
     started = time.monotonic()
     try:
-        if cls_name == "tc":
-            box = BoxDims(p["a"], p["a"], 2 * p["b"])
-            values["oracle"] = oracle.signed_count(box, SymmetryClass.TC, cfg.node_budget).value
-            values["lgv"] = paths.tcpp_enum(p["a"], p["b"]).value
-            values["formula"] = formulas.thm1_tcpp(p["a"], p["b"])
-            match = values["oracle"] == values["lgv"] == values["formula"]
-        elif cls_name == "stc":
-            side = 2 * p["alpha"]
-            box = BoxDims(side, side, 2 * p["b"])
-            values["lgv"] = paths.stcpp_enum(p["alpha"], p["b"]).value
-            values["formula"] = formulas.thm2_stcpp(p["alpha"], p["b"])
-            match = values["lgv"] == values["formula"]
-            if box.volume() <= 1000:
-                values["oracle"] = oracle.signed_count(box, SymmetryClass.STC, cfg.node_budget).value
-                match = match and values["oracle"] == values["lgv"]
-        elif cls_name == "stc-odd":
-            side = 2 * p["alpha"] + 1
-            box = BoxDims(side, side, 2 * p["b"])
-            values["lgv"] = paths.stcpp_odd_enum(p["alpha"], p["b"]).value
-            values["oracle"] = oracle.signed_count(box, SymmetryClass.STC, cfg.node_budget).value
-            match = values["oracle"] == values["lgv"]
-        elif cls_name == "cstc":
-            side = 2 * p["alpha"]
-            box = BoxDims(side, side, side)
-            values["oracle"] = oracle.signed_count(box, SymmetryClass.CSTC, cfg.node_budget).value
-            values["lgv"] = paths.cstcpp_enum(p["alpha"]).value
-            values["formula"] = formulas.thm4_cstcpp(p["alpha"])
-            match = values["oracle"] == values["lgv"] == values["formula"]
-        elif cls_name == "tssc":
-            side = 2 * p["alpha"]
-            box = BoxDims(side, side, side)
-            values["oracle"] = oracle.signed_count(box, SymmetryClass.TSSC, cfg.node_budget).value
-            values["lgv"] = paths.tsscpp_enum(p["alpha"]).value
-            values["formula"] = formulas.thm5_tsscpp(p["alpha"])
-            match = abs(values["oracle"]) == abs(values["lgv"]) == values["formula"]
-        elif cls_name == "cssc":
-            side = 2 * p["alpha"]
-            box = BoxDims(side, side, side)
-            signed = oracle.signed_count(box, SymmetryClass.CSSC, cfg.node_budget).value
-            orbit_weighted = oracle.weighted_count(
-                box, SymmetryClass.CYCLIC,
-                WeightKind(WeightTag.QORBITS, Fraction(-1)), cfg.node_budget,
-            )
-            values["oracle"] = signed
-            values["cyclic-orbit-weight"] = orbit_weighted
-            values["formula"] = formulas.thm7_csscpp(p["alpha"])[0]
-            match = signed * signed == abs(orbit_weighted) and abs(signed) == values["formula"]
-        elif cls_name == "sc":
-            box = BoxDims(p["a"], p["b"], p["c"])
-            values["oracle"] = oracle.signed_count(box, SymmetryClass.SC, cfg.node_budget).value
-            values["lgv"] = paths.scpp_enum(p["a"], p["b"], p["c"]).value
-            values["formula"] = formulas.thm6_scpp(p["a"], p["b"], p["c"])
-            match = values["oracle"] == values["lgv"] == values["formula"]
-        else:  # sc-odd: conjecture comparison, mismatches are findings
-            box = BoxDims(p["a"], p["b"], p["c"])
-            values["oracle"] = abs(oracle.signed_count(box, SymmetryClass.SC, cfg.node_budget).value)
-            values["formula"] = formulas.conj_scpp_odd(p["a"], p["b"], p["c"])
-            match = values["oracle"] == values["formula"]
-            if not match:
-                status = "FINDING"
+        for route in spec.routes:
+            if route == "oracle" and box.volume() > spec.oracle_max_volume:
+                continue
+            value = _route(route, spec.cls, spec, box, cfg)[0]
+            # a conjecture fixes only the absolute value, so that is reported
+            values[route] = abs(value) if spec.compare == CONJECTURE else value
+        match = _agree(values, spec.compare)
+        status = "OK" if match else "FINDING" if spec.compare == CONJECTURE else "MISMATCH"
     except ResourceLimitError:
-        status = "SKIPPED"
-        match = True
-    if status == "OK" and not match:
-        status = "MISMATCH"
+        match, status = True, "SKIPPED"
     record = {
-        "class": cls_name,
-        "params": p,
-        "values": {k: _value_str(v) for k, v in values.items()},
-        "match": bool(match),
+        "class": name,
+        "params": {p: v for (p, _, _), v in zip(spec.sweep, params)},
+        "values": {k: str(v) for k, v in values.items()},
+        "match": match,
         "status": status,
     }
     if cfg.timing:
@@ -393,17 +339,6 @@ def _verify_row(row: dict, cfg: RunConfig) -> dict:
 
 
 _SMOKE_LIMITS = dict(max_a=3, max_b=2, max_c=3, max_alpha=2)
-_VERIFY_CLASSES = ("tc", "stc", "stc-odd", "cstc", "tssc", "sc", "sc-odd", "cssc")
-_VERIFY_ALIASES = {
-    "tcpp": "tc",
-    "stcpp": "stc",
-    "stcpp-odd": "stc-odd",
-    "cstcpp": "cstc",
-    "tsscpp": "tssc",
-    "scpp": "sc",
-    "scpp-odd": "sc-odd",
-    "csscpp": "cssc",
-}
 
 
 def cmd_verify(args) -> int:
@@ -411,15 +346,18 @@ def cmd_verify(args) -> int:
     if args.smoke:
         for key, value in _SMOKE_LIMITS.items():
             setattr(args, key, min(getattr(args, key), value))
-    cls_name = _VERIFY_ALIASES.get(args.cls, args.cls)
-    if cls_name != "all" and cls_name not in _VERIFY_CLASSES:
+    name = _short_name(args.cls)
+    if name != "all" and name not in _SPECS:
         print(f"unknown verify class {args.cls!r}", file=sys.stderr)
         return EXIT_USAGE
-    names = _VERIFY_CLASSES if cls_name == "all" else (cls_name,)
-    records = []
-    for name in names:
-        for row in _sweep_rows(name, args, cfg):
-            records.append(_verify_row(row, cfg))
+    records = [
+        _verify_row(row_name, params, cfg)
+        for row_name in (_SPECS if name == "all" else (name,))
+        for params in product(*(
+            range(first, getattr(args, f"max_{p}") + 1, step)
+            for p, first, step in _SPECS[row_name].sweep
+        ))
+    ]
     _emit(records, cfg)
     if any(r["status"] == "MISMATCH" for r in records):
         return EXIT_MISMATCH
@@ -498,8 +436,7 @@ def _identity_instances(name: str, args, rng: random.Random):
                 lambda n=n, mu=mu: formulas.mrr_det(mu, n) is not None
             )
     elif name == "pfaff-saalschutz":
-        count = fuzz or 1
-        for t in range(count):
+        for t in range(fuzz or 1):
             while True:
                 n = rng.randint(0, 8)
                 a, b, c = _fuzz_rationals(rng, 3)
@@ -516,8 +453,7 @@ def _identity_instances(name: str, args, rng: random.Random):
                 lambda lhs=lhs, rhs=rhs: lhs == rhs
             )
     elif name == "minor-summation":
-        count = fuzz or 1
-        for t in range(count):
+        for t in range(fuzz or 1):
             p = rng.choice([2, 4, 6, 8])
             n = rng.choice([m for m in (2, 4) if m <= p])
             tmat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(p)]
@@ -536,19 +472,17 @@ def _identity_instances(name: str, args, rng: random.Random):
         alphas = [2 * rng.randint(1, 3) for _ in range(fuzz)] if fuzz else [_given(args.alpha, 4)]
         for alpha in alphas:
             def check(alpha=alpha):
-                for b in range(0, 9, 2):
-                    for i in range(1, 4):
-                        for j in range(1, 4):
-                            if formulas.mtilde_recurrence_residual(alpha, b, i, j) != 0:
-                                return False
-                return all(
+                return not any(
+                    formulas.mtilde_recurrence_residual(alpha, b, i, j)
+                    for b in range(0, 9, 2)
+                    for i in range(1, 4)
+                    for j in range(1, 4)
+                ) and all(
                     formulas.mtilde_divisibility_holds(alpha, t, j)
                     for t in range(1, 4)
                     for j in range(1, 3)
                 )
             yield f"recurrence-s4 alpha={alpha}", check
-    else:
-        raise SystemExit(f"unknown identity {name!r}")
 
 
 def cmd_identity(args) -> int:
@@ -585,12 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-budget", type=int, default=None)
         p.add_argument("--subset-budget", type=int, default=None)
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument(
-            "--sign-convention",
-            action="append",
-            metavar="CLASS=LABEL",
-            help="override the reported sign convention for a class",
-        )
 
     p_enum = sub.add_parser("enumerate", help="signed count of one box")
     p_enum.add_argument("--class", dest="cls", required=True)
@@ -598,9 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--b", type=int)
     p_enum.add_argument("--c", type=int)
     p_enum.add_argument("--alpha", type=int)
-    p_enum.add_argument(
-        "--method", choices=("oracle", "lgv", "formula", "all"), default="all"
-    )
+    p_enum.add_argument("--method", choices=("oracle", "lgv", "formula", "all"), default="all")
     common(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 

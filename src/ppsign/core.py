@@ -278,6 +278,34 @@ class OrbitDecomposition:
     orbits: tuple[Orbit, ...]
 
 
+def _sym_orbit(sym: Sequence[Callable[[Cell], Cell]], seed: Cell) -> frozenset[Cell]:
+    """The orbit of one cell under the group the maps generate."""
+    seen = {seed}
+    stack = [seed]
+    while stack:
+        cell = stack.pop()
+        for g in sym:
+            image = g(cell)
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return frozenset(seen)
+
+
+@lru_cache(maxsize=None)
+def symmetry_orbit_reps(box: BoxDims, cls: SymmetryClass) -> tuple[Cell, ...]:
+    """The first cell, in box order, of each orbit of the box cells under
+    the class's symmetry group without complementation."""
+    sym, _ = _maps_for(box, cls)
+    seen: set[Cell] = set()
+    reps: list[Cell] = []
+    for cell in box.cells():
+        if cell not in seen:
+            reps.append(cell)
+            seen |= _sym_orbit(sym, cell)
+    return tuple(reps)
+
+
 @lru_cache(maxsize=None)
 def orbit_decomposition(box: BoxDims, cls: SymmetryClass) -> OrbitDecomposition:
     """Orbits of <class symmetries, complementation> on the box cells.
@@ -289,26 +317,13 @@ def orbit_decomposition(box: BoxDims, cls: SymmetryClass) -> OrbitDecomposition:
         raise UnsupportedClassError(f"{cls.value} has no complementation component")
     check_box_shape(box, cls)
     sym, anti = _maps_for(box, cls)
-
-    def sym_orbit(seed: Cell) -> frozenset[Cell]:
-        seen = {seed}
-        stack = [seed]
-        while stack:
-            cell = stack.pop()
-            for g in sym:
-                image = g(cell)
-                if image not in seen:
-                    seen.add(image)
-                    stack.append(image)
-        return frozenset(seen)
-
     orbits: list[Orbit] = []
     assigned: set[Cell] = set()
     for cell in box.cells():
         if cell in assigned:
             continue
-        half_a = sym_orbit(cell)
-        half_b = sym_orbit(anti[0](cell))
+        half_a = _sym_orbit(sym, cell)
+        half_b = _sym_orbit(sym, anti[0](cell))
         if half_a & half_b:
             raise InvalidInputError(
                 f"orbit of {cell} does not split into two halves under {cls.value}"

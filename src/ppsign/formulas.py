@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,31 +17,6 @@ from .errors import (
 )
 from .exactalg import Poly, Rational
 from .qseries import binom, macmahon_box, shifted_factorial
-
-
-class TheoremId(Enum):
-    T1_TC = "tc"
-    T2_STC = "stc-even-side"
-    T3_STC_ODD_SHAPE = "stc-odd-side-structure"
-    T4_CSTC = "cstc"
-    T5_TSSC = "tssc"
-    T6_SC = "sc-even"
-    T7_CSSC = "cssc"
-    CONJ_SC_ODD = "sc-odd-conjecture"
-
-
-def evaluator_for(theorem: TheoremId):
-    """The closed-form callable behind a theorem tag."""
-    return {
-        TheoremId.T1_TC: thm1_tcpp,
-        TheoremId.T2_STC: thm2_stcpp,
-        TheoremId.T3_STC_ODD_SHAPE: thm3_structure_check,
-        TheoremId.T4_CSTC: thm4_cstcpp,
-        TheoremId.T5_TSSC: thm5_tsscpp,
-        TheoremId.T6_SC: thm6_scpp,
-        TheoremId.T7_CSSC: thm7_csscpp,
-        TheoremId.CONJ_SC_ODD: conj_scpp_odd,
-    }[theorem]
 
 
 def _integral(value: Fraction, what: str) -> int:

@@ -74,15 +74,9 @@ def enumerate_class(
 
     heights = [[0] * b for _ in range(a)]
     total = a * b
-    nodes = 0
 
-    def walk(idx: int) -> Iterator[PlanePartition]:
-        nonlocal nodes
-        if idx == total:
-            pp = PlanePartition(box, tuple(tuple(row) for row in heights))
-            if core.satisfies(pp, cls):
-                yield pp
-            return
+    def candidates(idx: int) -> Iterator[int]:
+        """The values cell idx may take, in increasing order."""
         i, j = divmod(idx, b)
         hi = c
         if i > 0:
@@ -90,27 +84,36 @@ def enumerate_class(
         if j > 0:
             hi = min(hi, heights[i][j - 1])
         lo, forced = _apply_rules(rules[idx], heights, c, i, j)
-        if forced is None:
-            return
         if forced is _FREE:
-            if lo > hi:
-                return
-            candidates = range(lo, hi + 1)
-        else:
-            if not lo <= forced <= hi:
-                return
-            candidates = (forced,)
-        for v in candidates:
+            return iter(range(lo, hi + 1))
+        return iter((forced,) if forced is not None and lo <= forced <= hi else ())
+
+    # Depth-first, with the candidates of cell idx at stack[idx], so a deep
+    # box needs no recursion.  Descending breaks out of the for loop; coming
+    # back up resumes the same iterator.
+    cells = [(heights[k // b], k % b) for k in range(total)]  # (row, column) of cell k
+    nodes = 0
+    stack = [candidates(0)]
+    idx = 0
+    while idx >= 0:
+        row, col = cells[idx]
+        for v in stack[idx]:
             nodes += 1
             if nodes > node_budget:
                 raise ResourceLimitError(
-                    f"node budget {node_budget} exceeded enumerating "
-                    f"{cls.value} in {box}"
+                    f"node budget {node_budget} exceeded enumerating {cls.value} in {box}"
                 )
-            heights[i][j] = v
-            yield from walk(idx + 1)
-
-    yield from walk(0)
+            row[col] = v
+            if idx + 1 < total:
+                idx += 1
+                stack.append(candidates(idx))
+                break
+            pp = PlanePartition(box, tuple(tuple(r) for r in heights))
+            if core.satisfies(pp, cls):
+                yield pp
+        else:
+            stack.pop()
+            idx -= 1
 
 
 _FREE = object()
@@ -243,29 +246,6 @@ def signed_count(
     return SignedCount(total, "oracle-bruteforce", cls, box, convention)
 
 
-@lru_cache(maxsize=None)
-def _symmetry_orbit_reps(box: BoxDims, cls: SymmetryClass):
-    """Orbits of the box cells under the class's non-complementation group."""
-    sym, _ = core._maps_for(box, cls)
-    seen: set[core.Cell] = set()
-    reps: list[core.Cell] = []
-    for cell in box.cells():
-        if cell in seen:
-            continue
-        stack = [cell]
-        orbit = {cell}
-        while stack:
-            current = stack.pop()
-            for g in sym:
-                image = g(current)
-                if image not in orbit:
-                    orbit.add(image)
-                    stack.append(image)
-        reps.append(cell)
-        seen |= orbit
-    return tuple(reps)
-
-
 def weighted_count(
     box: BoxDims,
     cls: SymmetryClass,
@@ -287,7 +267,7 @@ def weighted_count(
             raise UnsupportedClassError(
                 "q^orbits needs a class with a nontrivial symmetry group"
             )
-        reps = _symmetry_orbit_reps(box, cls)
+        reps = core.symmetry_orbit_reps(box, cls)
         total = Fraction(0)
         for pp in enumerate_class(box, cls, node_budget):
             orbits_in = sum(1 for rep in reps if pp.contains(rep))

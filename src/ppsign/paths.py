@@ -32,11 +32,6 @@ class ClassMatrix:
 
     rows: tuple[tuple[int | Fraction, ...], ...]
     global_sign: int
-    label: str
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 def sgn_matrix(p: int) -> list[list[int]]:
@@ -79,10 +74,27 @@ def _skew_double_sum(g: Sequence[Sequence[int]]) -> list[list[int]]:
     return m
 
 
+def _stc_pool(offset: int, alpha: int, b: int) -> list[list[int]]:
+    """Start-pool matrix G of the STC box of side 2*alpha + offset, with a
+    dummy start/end appended for odd alpha."""
+    g = [
+        [
+            (-1) ** (i % 2) * qbinom_minus1(i + j - 2 + offset, 2 * j - 2 + offset)
+            for j in range(1, alpha + 1)
+        ]
+        for i in range(1, alpha + b + 1)
+    ]
+    if alpha % 2 == 1:
+        for row in g:
+            row.append(0)
+        g.append([0] * alpha + [1])
+    return g
+
+
 @lru_cache(maxsize=256)
-def _anchor_pfaffian(pool, alpha: int) -> int:
+def _anchor_pfaffian(offset: int, alpha: int) -> int:
     """Pf of the pool's b = 0 matrix: the box is empty there, so it is +-1."""
-    anchor = exactalg.pfaffian(_skew_double_sum(pool(alpha, 0)))
+    anchor = exactalg.pfaffian(_skew_double_sum(_stc_pool(offset, alpha, 0)))
     if anchor not in (1, -1):
         raise InternalConsistencyError(
             f"pipeline anchor at b=0 should be +-1, got {anchor}"
@@ -90,13 +102,13 @@ def _anchor_pfaffian(pool, alpha: int) -> int:
     return anchor
 
 
-def _continuity_normalized_pfaffian(pool, alpha: int, b: int) -> int:
-    """Pf of the skew matrix of pool(alpha, b), sign-anchored so the b = 0
+def _continuity_normalized_pfaffian(offset: int, alpha: int, b: int) -> int:
+    """Pf of the skew matrix of the STC pool, sign-anchored so the b = 0
     value is +1."""
-    anchor = _anchor_pfaffian(pool, alpha)
+    anchor = _anchor_pfaffian(offset, alpha)
     if b == 0:
         return 1
-    return anchor * exactalg.pfaffian(_skew_double_sum(pool(alpha, b)))
+    return anchor * exactalg.pfaffian(_skew_double_sum(_stc_pool(offset, alpha, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +124,7 @@ def tcpp_matrix(a: int, b: int) -> ClassMatrix:
         )
         for i in range(1, a + 1)
     )
-    return ClassMatrix(rows, (-1) ** (a * (a - 1) // 2 % 2), "tc-determinant")
+    return ClassMatrix(rows, (-1) ** (a * (a - 1) // 2 % 2))
 
 
 def tcpp_enum(a: int, b: int) -> SignedCount:
@@ -128,26 +140,8 @@ def tcpp_enum(a: int, b: int) -> SignedCount:
 # symmetric transpose-complementary, a = 2*alpha
 
 
-def _stc_even_a_pool(alpha: int, b: int) -> list[list[int]]:
-    """Start-pool matrix G, with a dummy start/end appended for odd alpha."""
-    g = [
-        [
-            (-1) ** (i % 2) * qbinom_minus1(i + j - 2, 2 * j - 2)
-            for j in range(1, alpha + 1)
-        ]
-        for i in range(1, alpha + b + 1)
-    ]
-    if alpha % 2 == 1:
-        for row in g:
-            row.append(0)
-        g.append([0] * alpha + [1])
-    return g
-
-
 def stcpp_matrix(alpha: int, b: int) -> ClassMatrix:
-    dim_note = "dummy-augmented" if alpha % 2 else "plain"
-    rows = tuple(tuple(r) for r in _skew_double_sum(_stc_even_a_pool(alpha, b)))
-    return ClassMatrix(rows, 1, f"stc-even-a-pfaffian-{dim_note}")
+    return ClassMatrix(tuple(tuple(r) for r in _skew_double_sum(_stc_pool(0, alpha, b))), 1)
 
 
 def stcpp_enum(alpha: int, b: int) -> SignedCount:
@@ -156,7 +150,7 @@ def stcpp_enum(alpha: int, b: int) -> SignedCount:
     The overall sign is anchored by continuity at b = 0, where the box is
     empty and the enumeration is 1.
     """
-    value = _continuity_normalized_pfaffian(_stc_even_a_pool, alpha, b)
+    value = _continuity_normalized_pfaffian(0, alpha, b)
     return SignedCount(
         value, "lgv-pfaffian", SymmetryClass.STC,
         BoxDims(2 * alpha, 2 * alpha, 2 * b), "reference: half-full partition",
@@ -189,39 +183,14 @@ def stcpp_mtilde(alpha: int, b: int) -> tuple[tuple[int, ...], ...]:
 # symmetric transpose-complementary, a = 2*alpha + 1
 
 
-def _stc_odd_a_pool(alpha: int, b: int) -> list[list[int]]:
-    g = [
-        [
-            (-1) ** (i % 2) * qbinom_minus1(i + j - 1, 2 * j - 1)
-            for j in range(1, alpha + 1)
-        ]
-        for i in range(1, alpha + b + 1)
-    ]
-    if alpha % 2 == 1:
-        for row in g:
-            row.append(0)
-        g.append([0] * alpha + [1])
-    return g
-
-
-_ODD_A_CASE_LABELS = {
-    (0, 1): "direct (alpha even, b odd)",
-    (0, 0): "direct (alpha even, b even)",
-    (1, 0): "dummy-augmented (alpha odd, b even)",
-    (1, 1): "dummy-augmented (alpha odd, b odd)",
-}
-
-
 def stcpp_odd_matrix(alpha: int, b: int) -> ClassMatrix:
-    rows = tuple(tuple(r) for r in _skew_double_sum(_stc_odd_a_pool(alpha, b)))
-    label = "stc-odd-a-pfaffian: " + _ODD_A_CASE_LABELS[(alpha % 2, b % 2)]
-    return ClassMatrix(rows, 1, label)
+    return ClassMatrix(tuple(tuple(r) for r in _skew_double_sum(_stc_pool(1, alpha, b))), 1)
 
 
 def stcpp_odd_enum(alpha: int, b: int) -> SignedCount:
     """(-1)-enumeration for the (2a+1) x (2a+1) x 2b box; no closed form,
     but the Pfaffian is exact.  Sign anchored at b = 0 as usual."""
-    value = _continuity_normalized_pfaffian(_stc_odd_a_pool, alpha, b)
+    value = _continuity_normalized_pfaffian(1, alpha, b)
     return SignedCount(
         value, "lgv-pfaffian", SymmetryClass.STC,
         BoxDims(2 * alpha + 1, 2 * alpha + 1, 2 * b),
@@ -261,7 +230,7 @@ def cstcpp_matrix(alpha: int) -> ClassMatrix:
         for i in range(1, n + 1)
     )
     shift = sum(k * k for k in range(1, alpha)) % 2
-    return ClassMatrix(rows, (-1) ** shift, "cstc-determinant")
+    return ClassMatrix(rows, (-1) ** shift)
 
 
 def cstcpp_full_det(alpha: int) -> int:
@@ -365,7 +334,7 @@ def scpp_matrix(a: int, b: int, c: int) -> ClassMatrix:
     order = list(range(1, n + 1)) + list(range(2 * n, n, -1))
     rows = tuple(tuple(s_entry(i, j) for j in order) for i in range(1, a + 1))
     sign = (-1) ** ((a * (a + 2) // 8 + x * a // 2) % 2)
-    return ClassMatrix(rows, sign, "sc-pfaffian")
+    return ClassMatrix(rows, sign)
 
 
 def scpp_enum(a: int, b: int, c: int) -> SignedCount:

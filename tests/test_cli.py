@@ -1,6 +1,7 @@
 import json
+from dataclasses import replace
 
-from ppsign import cli
+from ppsign import cli, paths
 
 
 def run_cli(capsys, *argv):
@@ -236,3 +237,35 @@ def test_identity_out_of_domain_alpha_is_usage_error(capsys):
         code, out, _ = run_cli(capsys, "identity", "--name", name, "--alpha", "0")
         assert code == 0, name
         assert json.loads(out)[0]["result"] == "PASS", name
+
+
+def test_sign_convention_flag_is_gone(capsys):
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--class", "tc", "--a", "2", "--b", "1",
+        "--sign-convention", "tc=relabelled",
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_verify_tssc_compares_signs(capsys, monkeypatch):
+    real = paths.tsscpp_enum
+    monkeypatch.setattr(
+        paths, "tsscpp_enum", lambda alpha: replace(real(alpha), value=-real(alpha).value)
+    )
+    code, out, _ = run_cli(capsys, "verify", "--class", "tssc", "--max-alpha", "1")
+    assert code == 1
+    assert json.loads(out)[0]["status"] == "MISMATCH"
+
+
+def test_enumerate_deep_box_stops_on_budget(capsys):
+    # 33 x 33 cells: a walk that recursed once per cell overflowed the stack
+    argv = ("enumerate", "--class", "tc", "--a", "33", "--b", "1", "--method", "oracle",
+            "--node-budget", "100000")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == ""
+    assert err.startswith("budget:") and "Traceback" not in err
+    code, _, err = run_cli(capsys, *argv, "--strict")
+    assert code == 3
+    assert err.startswith("budget:")

@@ -39,6 +39,12 @@ def test_enumerate_budget():
         list(oracle.enumerate_class(BoxDims(4, 4, 4), SC.PLAIN, node_budget=50))
 
 
+def test_deep_box_walk_needs_no_recursion():
+    # 1,600 cells: deeper than the default recursion limit, were the walk to
+    # recurse once per cell
+    assert oracle.signed_count(BoxDims(40, 40, 0), SC.TC).value == 1
+
+
 def test_signed_count_examples():
     assert oracle.signed_count(BoxDims(2, 2, 2), SC.TC).value == 0
     assert oracle.signed_count(BoxDims(3, 3, 2), SC.TC).value == 1
