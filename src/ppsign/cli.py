@@ -26,6 +26,7 @@ from .core import BoxDims, SymmetryClass
 from .errors import (
     DimensionError,
     DomainError,
+    InternalConsistencyError,
     InvalidInputError,
     PPSignError,
     ResourceLimitError,
@@ -281,6 +282,9 @@ def cmd_enumerate(args) -> int:
         except ResourceLimitError as exc:
             print(f"budget: {exc}", file=sys.stderr)
             return EXIT_BUDGET if cfg.strict else EXIT_OK
+        except InternalConsistencyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_MISMATCH
         except PPSignError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -326,6 +330,9 @@ def _verify_row(name: str, params: tuple[int, ...], cfg: RunConfig) -> dict:
         status = "OK" if match else "FINDING" if spec.compare == CONJECTURE else "MISMATCH"
     except ResourceLimitError:
         match, status = True, "SKIPPED"
+    except InternalConsistencyError as exc:
+        print(f"error: {name} {params}: {exc}", file=sys.stderr)
+        match, status = False, "MISMATCH"
     record = {
         "class": name,
         "params": {p: v for (p, _, _), v in zip(spec.sweep, params)},
@@ -380,7 +387,7 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _identity_instances(name: str, args, rng: random.Random):
+def _identity_instances(name: str, args, cfg: RunConfig, rng: random.Random):
     """Yield (label, callable) pairs; the callable returns True on success."""
     fuzz = args.fuzz
     if name == "detl":
@@ -465,7 +472,7 @@ def _identity_instances(name: str, args, rng: random.Random):
                     amat[j][i] = -v
             yield f"minor-summation[{t}] p={p} n={n}", (
                 lambda tm=tmat, am=amat: (lambda pair: pair[0] == pair[1])(
-                    paths.minor_summation(tm, am)
+                    paths.minor_summation(tm, am, cfg.subset_budget)
                 )
             )
     elif name == "recurrence-s4":
@@ -490,12 +497,19 @@ def cmd_identity(args) -> int:
     rng = random.Random(cfg.seed)
     records = []
     failures = 0
-    for label, check in _identity_instances(args.name, args, rng):
+    for label, check in _identity_instances(args.name, args, cfg, rng):
         try:
             ok = bool(check())
         except (DimensionError, DomainError, UnsupportedClassError) as exc:
             print(f"error: {label}: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        except ResourceLimitError as exc:
+            print(f"budget: {label}: {exc}", file=sys.stderr)
+            return EXIT_BUDGET if cfg.strict else EXIT_OK
+        except InternalConsistencyError as exc:
+            # the identity's two sides disagreed inside the check
+            print(f"error: {label}: {exc}", file=sys.stderr)
+            ok = False
         failures += 0 if ok else 1
         records.append({"identity": label, "result": "PASS" if ok else "FAIL"})
     _emit(records, cfg)

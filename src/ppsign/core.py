@@ -66,24 +66,30 @@ class SymmetryClass(Enum):
 
     @property
     def is_symmetric(self) -> bool:
-        return self in (
-            SymmetryClass.SYMMETRIC,
-            SymmetryClass.TOTALLY_SYMMETRIC,
-            SymmetryClass.STC,
-            SymmetryClass.TSSC,
-        )
+        return self in _SYMMETRIC_CLASSES
 
     @property
     def is_cyclic(self) -> bool:
-        return self in (
-            SymmetryClass.CYCLIC,
-            SymmetryClass.TOTALLY_SYMMETRIC,
-            SymmetryClass.CSTC,
-            SymmetryClass.CSSC,
-            SymmetryClass.TSSC,
-        )
+        return self in _CYCLIC_CLASSES
 
 
+_SYMMETRIC_CLASSES = frozenset(
+    {
+        SymmetryClass.SYMMETRIC,
+        SymmetryClass.TOTALLY_SYMMETRIC,
+        SymmetryClass.STC,
+        SymmetryClass.TSSC,
+    }
+)
+_CYCLIC_CLASSES = frozenset(
+    {
+        SymmetryClass.CYCLIC,
+        SymmetryClass.TOTALLY_SYMMETRIC,
+        SymmetryClass.CSTC,
+        SymmetryClass.CSSC,
+        SymmetryClass.TSSC,
+    }
+)
 _COMPLEMENTATION_CLASSES = frozenset(
     {
         SymmetryClass.SC,
@@ -224,35 +230,43 @@ def _maps_for(box: BoxDims, cls: SymmetryClass) -> tuple[
 
 
 def satisfies(pp: PlanePartition, cls: SymmetryClass) -> bool:
-    """Check every membership condition of the class for every cell.
+    """Check every membership condition of the class for every cell."""
+    check_box_shape(pp.box, cls)
+    return satisfies_flat([v for row in pp.heights for v in row], pp.box, cls)
+
+
+def satisfies_flat(h: Sequence[int], box: BoxDims, cls: SymmetryClass) -> bool:
+    """The class predicate on the row-major height list h; the box shape is
+    not checked, and entries past the first a*b are ignored.
 
     The checks are phrased on the height matrix: transposition invariance
     is h == h^T, the cyclic condition is h[i][j] == #{k : h[j][k] >= i},
     and complementation conditions pair opposite heights to sum to c.
     """
-    check_box_shape(pp.box, cls)
-    a, b, c = pp.box.a, pp.box.b, pp.box.c
-    h = pp.heights
+    a, b, c = box.a, box.b, box.c
+    n = a * b
 
     if cls.is_symmetric:
-        if any(h[i][j] != h[j][i] for i in range(a) for j in range(i + 1, b)):
+        # row i equals column i
+        if any(h[i * b:(i + 1) * b] != h[i:n:b] for i in range(a)):
             return False
     if cls.is_cyclic:
+        # column j is the conjugate of row j
         for j in range(a):
-            row = h[j]
-            for i in range(a):
-                if h[i][j] != sum(1 for v in row if v >= i + 1):
-                    return False
+            row = h[j * a:(j + 1) * a]
+            if h[j:n:a] != [sum(1 for v in row if v > i) for i in range(a)]:
+                return False
     if cls in _POINT_COMPLEMENT:
-        for i in range(a):
-            for j in range(b):
-                if h[i][j] + h[a - 1 - i][b - 1 - j] != c:
-                    return False
+        # (i, j) and (a-1-i, b-1-j) sit at flat indices k and n-1-k
+        flat = h[:n]
+        if flat != [c - v for v in reversed(flat)]:
+            return False
     elif cls in _TRANSPOSE_COMPLEMENT:
-        for i in range(a):
-            for j in range(a):
-                if h[i][j] + h[a - 1 - j][a - 1 - i] != c:
-                    return False
+        # (i, j) and (a-1-j, a-1-i) sit at flat indices k = i*a+j and
+        # n-1-(j*a+i), so row i pairs with column i of the reversed list
+        rev = h[n - 1::-1] if n else []
+        if h[:n] != [c - v for i in range(a) for v in rev[i::a]]:
+            return False
     return True
 
 

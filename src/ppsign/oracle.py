@@ -2,10 +2,12 @@
 signed/weighted summation.
 
 This is the ground truth the determinant/Pfaffian pipelines and the
-closed-form evaluators are tested against, so it stays deliberately
-simple: backtracking over height-matrix entries in row-major order with
-monotonicity bounds, symmetry constraints applied as forced values on
-not-yet-assigned entries, and a full predicate check on every leaf.
+closed-form evaluators are tested against: backtracking over height-matrix
+entries in row-major order with monotonicity bounds, symmetry constraints
+applied as forced values or lower bounds on not-yet-assigned entries, and
+the full class predicate on every leaf.  The rules are compiled once per
+walk into flat-list indices; tests/oracles.py keeps the walk that reads
+them off a matrix of rows at every node as the reference.
 """
 
 from __future__ import annotations
@@ -60,167 +62,118 @@ def enumerate_class(
 ) -> Iterator[PlanePartition]:
     """Yield every plane partition of the class in the box exactly once,
     in lexicographic order of the height matrix."""
-    core.check_box_shape(box, cls)
-    a, b, c = box.a, box.b, box.c
-    if a == 0 or b == 0:
-        empty = PlanePartition(box, tuple(tuple() for _ in range(a)))
-        if core.satisfies(empty, cls):
-            yield empty
-        return
+    a, b = box.a, box.b
+    for h in _walk(box, cls, node_budget):
+        yield PlanePartition(box, tuple(tuple(h[i * b:(i + 1) * b]) for i in range(a)))
 
-    rules = _cell_rules(box, cls)
-    if rules is None:
+
+def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[int]]:
+    """Yield every member as one reused row-major height list, lexicographically.
+
+    A node is one value tried at one cell; every cell's candidates form an
+    interval [lo, hi], so the explicit stack holds each cell's hi while h
+    holds its current value.  Each leaf gets the full class predicate.
+    """
+    core.check_box_shape(box, cls)
+    n = box.a * box.b
+    h = [0] * n + [box.c]  # h[n] is the sentinel c: the bound above row 0 and left of column 0
+    if n == 0:
+        if core.satisfies_flat(h, box, cls):
+            yield h
+        return
+    plan = _compile(box, cls)
+    if plan is None:
         return  # class empty for parity reasons (self-paired cell, odd height)
 
-    heights = [[0] * b for _ in range(a)]
-    total = a * b
-
-    def candidates(idx: int) -> Iterator[int]:
-        """The values cell idx may take, in increasing order."""
-        i, j = divmod(idx, b)
-        hi = c
-        if i > 0:
-            hi = min(hi, heights[i - 1][j])
-        if j > 0:
-            hi = min(hi, heights[i][j - 1])
-        lo, forced = _apply_rules(rules[idx], heights, c, i, j)
-        if forced is _FREE:
-            return iter(range(lo, hi + 1))
-        return iter((forced,) if forced is not None and lo <= forced <= hi else ())
-
-    # Depth-first, with the candidates of cell idx at stack[idx], so a deep
-    # box needs no recursion.  Descending breaks out of the for loop; coming
-    # back up resumes the same iterator.
-    cells = [(heights[k // b], k % b) for k in range(total)]  # (row, column) of cell k
+    last = n - 1
+    top = [0] * n  # top[idx]: the largest candidate of cell idx
     nodes = 0
-    stack = [candidates(0)]
-    idx = 0
-    while idx >= 0:
-        row, col = cells[idx]
-        for v in stack[idx]:
+    idx = -1
+    while True:
+        # descend one cell and set its candidate interval [h[idx], top[idx]]
+        idx += 1
+        up, left, sources, counts = plan[idx]
+        lo = 0
+        hi = min(h[up], h[left])
+        for offset, factor, index in sources:
+            v = offset + factor * h[index]
+            if v > lo:
+                lo = v
+            if v < hi:
+                hi = v
+        for start, stop, step, t, free_size in counts:
+            m = sum(map(t.__le__, h[start:stop:step]))
+            if m > lo:
+                lo = m
+            if m != free_size and m < hi:
+                hi = m
+        h[idx] = lo
+        top[idx] = hi
+        while True:
+            if h[idx] > top[idx]:  # cell idx exhausted: back up
+                if idx == 0:
+                    return
+                idx -= 1
+                h[idx] += 1
+                continue
             nodes += 1
             if nodes > node_budget:
                 raise ResourceLimitError(
                     f"node budget {node_budget} exceeded enumerating {cls.value} in {box}"
                 )
-            row[col] = v
-            if idx + 1 < total:
-                idx += 1
-                stack.append(candidates(idx))
+            if idx < last:
                 break
-            pp = PlanePartition(box, tuple(tuple(r) for r in heights))
-            if core.satisfies(pp, cls):
-                yield pp
-        else:
-            stack.pop()
-            idx -= 1
+            if core.satisfies_flat(h, box, cls):
+                yield h
+            h[idx] += 1
 
 
-_FREE = object()
+def _compile(box: BoxDims, cls: SymmetryClass):
+    """Per cell (up, left, sources, counts), row-major; None if the class is empty.
 
-
-def _cell_rules(box: BoxDims, cls: SymmetryClass):
-    """Per-cell forcing rules, row-major; None if the class is empty.
-
-    Each cell gets a list of rule tags; every rule either forces the value
-    or bounds it, and all forced values must agree (dead branch otherwise).
+    up and left are the flat indices of the neighbours, or n (the sentinel)
+    at an edge.  A source (offset, factor, index) forces the cell to
+    offset + factor * h[index].  A count (start, stop, step, t, free_size)
+    is the cyclic rule h[i][j] >= r+1 iff h[r][i] >= j+1 against the
+    assigned partner cells h[start:stop:step]: m of them are >= t, and the
+    cell equals m unless m == free_size, which only bounds it below by m.
     """
     a, b, c = box.a, box.b, box.c
-    rules: list[list[tuple[str, object]]] = [[] for _ in range(a * b)]
-
+    n = a * b
+    plan = []
     for i in range(a):
         for j in range(b):
-            cell_rules = rules[i * b + j]
+            sources = []
             if cls.is_symmetric and i > j:
-                cell_rules.append(("eq", (j, i)))
-            if cls.is_cyclic and i > 0:
-                cell_rules.append(("cyc", None))
+                sources.append((0, 1, j * b + i))
             if cls in core._POINT_COMPLEMENT:
                 partner = (a - 1 - i, b - 1 - j)
             elif cls in core._TRANSPOSE_COMPLEMENT:
                 partner = (a - 1 - j, a - 1 - i)
             else:
                 partner = None
-            if partner is not None:
-                if partner == (i, j):
-                    if c % 2 != 0:
-                        return None
-                    cell_rules.append(("fixed", c // 2))
-                elif partner < (i, j):
-                    cell_rules.append(("comp", partner))
-    return rules
-
-
-def _apply_rules(cell_rules, heights, c, i, j):
-    """Evaluate the rules at cell (i, j): returns (lower bound, forced).
-
-    forced is _FREE when no rule pins the value and None on contradiction.
-    """
-    lo = 0
-    value = _FREE
-    for kind, payload in cell_rules:
-        if kind == "eq":
-            pi, pj = payload
-            v = heights[pi][pj]
-        elif kind == "comp":
-            pi, pj = payload
-            v = c - heights[pi][pj]
-        elif kind == "fixed":
-            v = payload
-        else:
-            # cyclic relation h[i][j] >= r+1  iff  h[r][i] >= j+1, applied
-            # against every already-assigned partner cell
-            if j < i:
-                # row j is complete: value fully determined
-                v = sum(1 for x in heights[j] if x >= i + 1)
-            else:
-                # column-i clamp; for j > i the diagonal (i, i) is assigned too
-                rmax = i if j > i else i - 1
-                m = 0
-                threshold = j + 1
-                for r in range(rmax + 1):
-                    if heights[r][i] >= threshold:
-                        m += 1
-                    else:
-                        break
-                if m > rmax:
-                    lo = max(lo, rmax + 1)
-                    v = _FREE
+            if partner == (i, j):
+                if c % 2 != 0:
+                    return None
+                sources.append((c // 2, 0, n))
+            elif partner is not None and partner < (i, j):
+                sources.append((c, -1, partner[0] * b + partner[1]))
+            counts = []
+            if cls.is_cyclic and i > 0:
+                if j < i:
+                    # row j is complete: it fixes the value
+                    counts.append((j * b, j * b + b, 1, i + 1, -1))
                 else:
-                    v = m
-                if j == i:
-                    # own-row clamp: h[i][i] >= k+1  iff  h[i][k] >= i+1
-                    m2 = 0
-                    for k in range(i):
-                        if heights[i][k] >= i + 1:
-                            m2 += 1
-                        else:
-                            break
-                    if m2 == i:
-                        lo = max(lo, i)
-                    elif v is _FREE:
-                        v = m2
-                    elif v != m2:
-                        return lo, None
-                if v is _FREE:
-                    continue
-        if value is _FREE:
-            value = v
-        elif value != v:
-            return lo, None
-    if value is not _FREE and value < lo:
-        return lo, None
-    return lo, value
-
-
-def _reference_and_convention(
-    box: BoxDims, cls: SymmetryClass, node_budget: int
-) -> tuple[PlanePartition | None, str]:
-    try:
-        return core.reference_partition(box, cls), "reference: canonical (+1) partition"
-    except UnsupportedClassError:
-        first = next(enumerate_class(box, cls, node_budget), None)
-        return first, "reference: lexicographically first member (global sign arbitrary)"
+                    # column i down to row i - 1, or to the diagonal when j > i
+                    rows = i + 1 if j > i else i
+                    counts.append((i, i + rows * b, b, j + 1, rows))
+                    if j == i:
+                        # own row: h[i][i] >= k+1 iff h[i][k] >= i+1
+                        counts.append((i * b, i * b + i, 1, i + 1, i))
+            up = (i - 1) * b + j if i else n
+            left = i * b + j - 1 if j else n
+            plan.append((up, left, tuple(sources), tuple(counts)))
+    return plan
 
 
 def signed_count(
@@ -233,15 +186,26 @@ def signed_count(
         raise UnsupportedClassError(
             f"signed counting needs a complementation class, not {cls.value}"
         )
-    reference, convention = _reference_and_convention(box, cls, node_budget)
+    try:
+        rows = core.reference_partition(box, cls).heights
+        reference = [v for row in rows for v in row]
+        convention = "reference: canonical (+1) partition"
+    except UnsupportedClassError:
+        reference = next(_walk(box, cls, node_budget), None)
+        convention = "reference: lexicographically first member (global sign arbitrary)"
     if reference is None:
         return SignedCount(0, "oracle-bruteforce", cls, box, "empty class")
     decomposition = core.orbit_decomposition(box, cls)
-    reps = [next(iter(orbit.half_a)) for orbit in decomposition.orbits]
-    ref_bits = [reference.contains(rep) for rep in reps]
+    # one cell (i, j, k) per orbit: a member holds it iff h at (i, j) >= k
+    b = box.b
+    triples = []
+    for orbit in decomposition.orbits:
+        i, j, k = next(iter(orbit.half_a))
+        index = (i - 1) * b + j - 1
+        triples.append((index, k, reference[index] >= k))
     total = 0
-    for pp in enumerate_class(box, cls, node_budget):
-        d = sum(1 for rep, bit in zip(reps, ref_bits) if pp.contains(rep) != bit)
+    for h in _walk(box, cls, node_budget):
+        d = sum(1 for index, k, bit in triples if (h[index] >= k) != bit)
         total += -1 if d % 2 else 1
     return SignedCount(total, "oracle-bruteforce", cls, box, convention)
 
@@ -256,22 +220,21 @@ def weighted_count(
     if w.tag is WeightTag.SIGNED_ORBITS:
         return signed_count(box, cls, node_budget).value
     if w.tag is WeightTag.PLAIN:
-        return sum(1 for _ in enumerate_class(box, cls, node_budget))
+        return sum(1 for _ in _walk(box, cls, node_budget))
     if w.tag is WeightTag.QCUBES:
         total = Fraction(0)
-        for pp in enumerate_class(box, cls, node_budget):
-            total += w.q ** pp.size()
+        for h in _walk(box, cls, node_budget):
+            total += w.q ** (sum(h) - box.c)  # less the sentinel
         return int(total) if total.denominator == 1 else total
     if w.tag is WeightTag.QORBITS:
         if not (cls.is_symmetric or cls.is_cyclic):
             raise UnsupportedClassError(
                 "q^orbits needs a class with a nontrivial symmetry group"
             )
-        reps = core.symmetry_orbit_reps(box, cls)
+        reps = [((i - 1) * box.b + j - 1, k) for i, j, k in core.symmetry_orbit_reps(box, cls)]
         total = Fraction(0)
-        for pp in enumerate_class(box, cls, node_budget):
-            orbits_in = sum(1 for rep in reps if pp.contains(rep))
-            total += w.q ** orbits_in
+        for h in _walk(box, cls, node_budget):
+            total += w.q ** sum(1 for index, k in reps if h[index] >= k)
         return int(total) if total.denominator == 1 else total
     raise InvalidInputError(f"unknown weight kind {w.tag}")
 

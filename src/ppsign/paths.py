@@ -357,10 +357,13 @@ def scpp_enum(a: int, b: int, c: int) -> SignedCount:
 
 
 def minor_summation(
-    t: Sequence[Sequence[int | Fraction]], a: Sequence[Sequence[int | Fraction]]
+    t: Sequence[Sequence[int | Fraction]],
+    a: Sequence[Sequence[int | Fraction]],
+    subset_budget: int | None = None,
 ) -> tuple[int | Fraction, int | Fraction]:
     """Both sides of the sum-of-minors identity: the direct subset sum
-    weighted by principal-submatrix Pfaffians, and Pf(tT A T)."""
+    weighted by principal-submatrix Pfaffians, and Pf(tT A T).  The subset
+    sum raises ResourceLimitError past subset_budget row subsets."""
     rows, n = exactalg.dims(t)
     if n % 2:
         raise DimensionError("minor summation needs an even number of columns")
@@ -375,7 +378,7 @@ def minor_summation(
         sub = [[a_rows[i][j] for j in subset] for i in subset]
         return exactalg.pfaffian(sub)
 
-    lhs = exactalg.sum_of_minors(t, n, weight=pf_weight)
+    lhs = exactalg.sum_of_minors(t, n, weight=pf_weight, budget=subset_budget)
     rhs = exactalg.pfaffian(
         exactalg.matmul(exactalg.matmul(exactalg.transpose(t), a_rows), t)
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+from ppsign import core
 from ppsign.core import BoxDims, PlanePartition, SymmetryClass
 
 Cell = tuple[int, int, int]
@@ -112,6 +113,165 @@ def cellset_to_pp(cells: frozenset[Cell], box: BoxDims) -> PlanePartition | None
             if i + 1 < box.a and rows[i][j] < rows[i + 1][j]:
                 return None
     return PlanePartition(box, rows)
+
+
+# ---------------------------------------------------------------------------
+# the oracle walk over a matrix of rows, rule tags read at every node
+
+
+def enumerate_class_rows(box: BoxDims, cls: SymmetryClass) -> tuple[list, int]:
+    """(every member's height matrix in lexicographic order, nodes visited).
+
+    Backtracking over the entries in row-major order; a node is one value
+    tried at one cell.  Symmetry constraints act as forced values or lower
+    bounds on not-yet-assigned entries, and every leaf gets the full class
+    predicate.
+    """
+    core.check_box_shape(box, cls)
+    a, b, c = box.a, box.b, box.c
+    if a == 0 or b == 0:
+        empty = PlanePartition(box, tuple(tuple() for _ in range(a)))
+        return ([empty.heights] if core.satisfies(empty, cls) else []), 0
+
+    rules = _cell_rules(box, cls)
+    if rules is None:
+        return [], 0  # class empty for parity reasons (self-paired cell, odd height)
+
+    heights = [[0] * b for _ in range(a)]
+    total = a * b
+    members = []
+
+    def candidates(idx: int):
+        """The values cell idx may take, in increasing order."""
+        i, j = divmod(idx, b)
+        hi = c
+        if i > 0:
+            hi = min(hi, heights[i - 1][j])
+        if j > 0:
+            hi = min(hi, heights[i][j - 1])
+        lo, forced = _apply_rules(rules[idx], heights, c, i, j)
+        if forced is _FREE:
+            return iter(range(lo, hi + 1))
+        return iter((forced,) if forced is not None and lo <= forced <= hi else ())
+
+    nodes = 0
+    stack = [candidates(0)]
+    idx = 0
+    while idx >= 0:
+        i, j = divmod(idx, b)
+        for v in stack[idx]:
+            nodes += 1
+            heights[i][j] = v
+            if idx + 1 < total:
+                idx += 1
+                stack.append(candidates(idx))
+                break
+            pp = PlanePartition(box, tuple(tuple(r) for r in heights))
+            if core.satisfies(pp, cls):
+                members.append(pp.heights)
+        else:
+            stack.pop()
+            idx -= 1
+    return members, nodes
+
+
+_FREE = object()
+_POINT_COMPLEMENT = (SymmetryClass.SC, SymmetryClass.CSSC, SymmetryClass.TSSC)
+_TRANSPOSE_COMPLEMENT = (SymmetryClass.TC, SymmetryClass.STC, SymmetryClass.CSTC)
+
+
+def _cell_rules(box: BoxDims, cls: SymmetryClass):
+    """Per-cell forcing rules, row-major; None if the class is empty.
+
+    Each cell gets a list of rule tags; every rule either forces the value
+    or bounds it, and all forced values must agree (dead branch otherwise).
+    """
+    a, b, c = box.a, box.b, box.c
+    rules: list[list[tuple[str, object]]] = [[] for _ in range(a * b)]
+
+    for i in range(a):
+        for j in range(b):
+            cell_rules = rules[i * b + j]
+            if cls.is_symmetric and i > j:
+                cell_rules.append(("eq", (j, i)))
+            if cls.is_cyclic and i > 0:
+                cell_rules.append(("cyc", None))
+            if cls in _POINT_COMPLEMENT:
+                partner = (a - 1 - i, b - 1 - j)
+            elif cls in _TRANSPOSE_COMPLEMENT:
+                partner = (a - 1 - j, a - 1 - i)
+            else:
+                partner = None
+            if partner is not None:
+                if partner == (i, j):
+                    if c % 2 != 0:
+                        return None
+                    cell_rules.append(("fixed", c // 2))
+                elif partner < (i, j):
+                    cell_rules.append(("comp", partner))
+    return rules
+
+
+def _apply_rules(cell_rules, heights, c, i, j):
+    """Evaluate the rules at cell (i, j): returns (lower bound, forced).
+
+    forced is _FREE when no rule pins the value and None on contradiction.
+    """
+    lo = 0
+    value = _FREE
+    for kind, payload in cell_rules:
+        if kind == "eq":
+            pi, pj = payload
+            v = heights[pi][pj]
+        elif kind == "comp":
+            pi, pj = payload
+            v = c - heights[pi][pj]
+        elif kind == "fixed":
+            v = payload
+        else:
+            # cyclic relation h[i][j] >= r+1  iff  h[r][i] >= j+1, applied
+            # against every already-assigned partner cell
+            if j < i:
+                # row j is complete: value fully determined
+                v = sum(1 for x in heights[j] if x >= i + 1)
+            else:
+                # column-i clamp; for j > i the diagonal (i, i) is assigned too
+                rmax = i if j > i else i - 1
+                m = 0
+                threshold = j + 1
+                for r in range(rmax + 1):
+                    if heights[r][i] >= threshold:
+                        m += 1
+                    else:
+                        break
+                if m > rmax:
+                    lo = max(lo, rmax + 1)
+                    v = _FREE
+                else:
+                    v = m
+                if j == i:
+                    # own-row clamp: h[i][i] >= k+1  iff  h[i][k] >= i+1
+                    m2 = 0
+                    for k in range(i):
+                        if heights[i][k] >= i + 1:
+                            m2 += 1
+                        else:
+                            break
+                    if m2 == i:
+                        lo = max(lo, i)
+                    elif v is _FREE:
+                        v = m2
+                    elif v != m2:
+                        return lo, None
+                if v is _FREE:
+                    continue
+        if value is _FREE:
+            value = v
+        elif value != v:
+            return lo, None
+    if value is not _FREE and value < lo:
+        return lo, None
+    return lo, value
 
 
 # ---------------------------------------------------------------------------

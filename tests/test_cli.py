@@ -1,7 +1,8 @@
 import json
 from dataclasses import replace
 
-from ppsign import cli, paths
+from ppsign import cli, exactalg, paths
+from ppsign.errors import InternalConsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -269,3 +270,45 @@ def test_enumerate_deep_box_stops_on_budget(capsys):
     code, _, err = run_cli(capsys, *argv, "--strict")
     assert code == 3
     assert err.startswith("budget:")
+
+
+def test_identity_mismatch_inside_a_check_is_fail(capsys, monkeypatch):
+    # lemma_2ji and mrr_det raise when their two sides disagree
+    real = exactalg.det
+    monkeypatch.setattr(exactalg, "det", lambda m: real(m) + 1)
+    for argv in (("--name", "2ji"), ("--name", "mrr"), ("--name", "2ji", "--fuzz", "3")):
+        code, out, err = run_cli(capsys, "identity", *argv)
+        assert code == 1
+        assert all(r["result"] == "FAIL" for r in json.loads(out))
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_internal_failure_in_a_route_exits_one(capsys, monkeypatch):
+    def broken(m):
+        raise InternalConsistencyError("pfaffian disagrees with its cross-check")
+
+    monkeypatch.setattr(exactalg, "pfaffian", broken)
+    code, out, err = run_cli(capsys, "verify", "--class", "stc-odd", "--max-alpha", "3",
+                             "--max-b", "2")
+    assert code == 1
+    assert "MISMATCH" in {r["status"] for r in json.loads(out)}
+    assert "cross-check" in err
+    code, out, err = run_cli(capsys, "enumerate", "--class", "stc", "--a", "7", "--b", "3",
+                             "--method", "lgv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_subset_budget_reaches_minor_summation(capsys, monkeypatch):
+    argv = ("identity", "--name", "minor-summation", "--fuzz", "3", "--seed", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, "--subset-budget", "1")
+    assert code == 0
+    assert out == ""
+    assert err.startswith("budget:")
+    assert run_cli(capsys, *argv, "--subset-budget", "1", "--strict")[0] == 3
+    monkeypatch.setenv("PPSIGN_SUBSET_BUDGET", "1")
+    code, _, err = run_cli(capsys, *argv, "--strict")
+    assert code == 3 and err.startswith("budget:")

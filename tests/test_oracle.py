@@ -1,13 +1,14 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ppsign import oracle, qseries
-from ppsign.core import BoxDims, SymmetryClass
-from ppsign.errors import ResourceLimitError, UnsupportedClassError
+from ppsign.core import BoxDims, SymmetryClass, check_box_shape
+from ppsign.errors import ResourceLimitError, ShapeError, UnsupportedClassError
 from ppsign.oracle import WeightKind, WeightTag
 
-from oracles import alternating_sign_matrices, vsasm_count_by_filter
+from oracles import alternating_sign_matrices, enumerate_class_rows, vsasm_count_by_filter
 
 SC = SymmetryClass
 
@@ -37,6 +38,56 @@ def test_enumerate_is_lexicographic_and_duplicate_free():
 def test_enumerate_budget():
     with pytest.raises(ResourceLimitError):
         list(oracle.enumerate_class(BoxDims(4, 4, 4), SC.PLAIN, node_budget=50))
+
+
+def visits_exactly(box, cls, nodes):
+    """Whether the walk finishes on a budget of nodes and stops on one less."""
+    list(oracle.enumerate_class(box, cls, node_budget=nodes))
+    try:
+        list(oracle.enumerate_class(box, cls, node_budget=nodes - 1))
+    except ResourceLimitError:
+        return True
+    return nodes == 0
+
+
+def small_boxes(cls):
+    # PLAIN compiles to no rule at all, so its boxes beyond 3^3 add time
+    # (PLAIN 4^3 visits 743,287 nodes) and no case
+    sides = range(4 if cls is SC.PLAIN else 5)
+    for a, b, c in product(sides, repeat=3):
+        box = BoxDims(a, b, c)
+        try:
+            check_box_shape(box, cls)
+        except ShapeError:
+            continue
+        yield box
+
+
+@pytest.mark.parametrize("cls", list(SC))
+def test_walk_matches_row_reference(cls):
+    # zero sides, odd heights and the classes a parity makes empty included
+    for box in small_boxes(cls):
+        members, nodes = enumerate_class_rows(box, cls)
+        assert heights_list(box, cls) == members, box
+        assert visits_exactly(box, cls, nodes), box
+
+
+@pytest.mark.parametrize("cls, box, nodes", [
+    (SC.TC, (4, 4, 4), 1_062),
+    (SC.STC, (5, 5, 4), 1_229),
+    (SC.SC, (4, 4, 4), 7_651),
+    (SC.CSTC, (4, 4, 4), 117),
+    (SC.CSSC, (4, 4, 4), 682),
+    (SC.TSSC, (4, 4, 4), 449),
+    (SC.CYCLIC, (4, 4, 4), 1_999),
+    (SC.PLAIN, (3, 3, 3), 2_674),
+    (SC.SYMMETRIC, (4, 4, 4), 15_827),
+    (SC.TOTALLY_SYMMETRIC, (4, 4, 4), 1_008),
+])
+def test_walk_node_counts_are_pinned(cls, box, nodes):
+    box = BoxDims(*box)
+    assert enumerate_class_rows(box, cls)[1] == nodes
+    assert visits_exactly(box, cls, nodes)
 
 
 def test_deep_box_walk_needs_no_recursion():
