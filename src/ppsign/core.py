@@ -10,7 +10,6 @@ counts orbits on which it differs from the class reference partition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -140,13 +139,6 @@ class PlanePartition:
     box: BoxDims
     heights: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def from_heights(heights: Sequence[Sequence[int]], box: BoxDims) -> "PlanePartition":
-        rows = tuple(tuple(row) for row in heights)
-        if not is_valid_pp(rows, box):
-            raise InvalidInputError("heights are not a plane partition in this box")
-        return PlanePartition(box, rows)
-
     def contains(self, cell: Cell) -> bool:
         i, j, k = cell
         return 1 <= k <= self.heights[i - 1][j - 1]
@@ -159,13 +151,6 @@ class PlanePartition:
 
     def size(self) -> int:
         return sum(sum(row) for row in self.heights)
-
-    def to_json(self) -> str:
-        return json.dumps([list(row) for row in self.heights])
-
-    @staticmethod
-    def from_json(text: str, box: BoxDims) -> "PlanePartition":
-        return PlanePartition.from_heights(json.loads(text), box)
 
 
 def is_valid_pp(heights: Sequence[Sequence[int]], box: BoxDims) -> bool:

@@ -71,8 +71,12 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
     """Yield every member as one reused row-major height list, lexicographically.
 
     A node is one value tried at one cell; every cell's candidates form an
-    interval [lo, hi], so the explicit stack holds each cell's hi while h
-    holds its current value.  Each leaf gets the full class predicate.
+    interval [lo, hi].  A choice cell keeps its hi on the explicit stack
+    while h holds its current value.  A forced cell (at most one candidate)
+    is settled inline on the way down, and an exhausted cell backs up
+    straight to back[idx], the last earlier choice cell, since every forced
+    cell in between has no second value.  Each leaf gets the full class
+    predicate.
     """
     core.check_box_shape(box, cls)
     n = box.a * box.b
@@ -85,51 +89,83 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
     if plan is None:
         return  # class empty for parity reasons (self-paired cell, odd height)
 
+    back = []
+    choice = -1
+    for idx, (_, _, _, _, _, forced) in enumerate(plan):
+        back.append(choice)
+        if not forced:
+            choice = idx
     last = n - 1
-    top = [0] * n  # top[idx]: the largest candidate of cell idx
+    top = [0] * n  # top[idx]: the largest candidate of choice cell idx
     nodes = 0
-    idx = -1
+    idx = 0
     while True:
-        # descend one cell and set its candidate interval [h[idx], top[idx]]
-        idx += 1
-        up, left, sources, counts = plan[idx]
-        lo = 0
-        hi = min(h[up], h[left])
-        for offset, factor, index in sources:
-            v = offset + factor * h[index]
-            if v > lo:
-                lo = v
-            if v < hi:
-                hi = v
-        for start, stop, step, t, free_size in counts:
-            m = sum(map(t.__le__, h[start:stop:step]))
-            if m > lo:
-                lo = m
-            if m != free_size and m < hi:
-                hi = m
-        h[idx] = lo
-        top[idx] = hi
-        while True:
-            if h[idx] > top[idx]:  # cell idx exhausted: back up
-                if idx == 0:
+        up, left, sources, counts, single, forced = plan[idx]
+        hi = h[up]
+        if h[left] < hi:
+            hi = h[left]
+        if single:
+            offset, factor, index = single
+            lo = offset + factor * h[index]  # h[index], c - h[index] or c // 2: never below 0
+        else:
+            lo = 0
+            for offset, factor, index in sources:
+                v = offset + factor * h[index]
+                if v > lo:
+                    lo = v
+                if v < hi:
+                    hi = v
+            for start, stop, step, t, free_size in counts:
+                m = sum(map(t.__le__, h[start:stop:step]))
+                if m > lo:
+                    lo = m
+                if m != free_size and m < hi:
+                    hi = m
+        if forced:
+            if lo <= hi:  # the one candidate
+                h[idx] = lo
+                nodes += 1
+                if nodes > node_budget:
+                    raise _budget_error(node_budget, cls, box)
+                if idx < last:
+                    idx += 1
+                    continue
+                if core.satisfies_flat(h, box, cls):
+                    yield h
+            idx = back[idx]
+            if idx < 0:
+                return
+            h[idx] += 1
+        else:
+            h[idx] = lo
+            top[idx] = hi
+        while True:  # choice cell idx at value h[idx]
+            if h[idx] > top[idx]:  # exhausted: back up to the last choice
+                idx = back[idx]
+                if idx < 0:
                     return
-                idx -= 1
                 h[idx] += 1
                 continue
             nodes += 1
             if nodes > node_budget:
-                raise ResourceLimitError(
-                    f"node budget {node_budget} exceeded enumerating {cls.value} in {box}"
-                )
+                raise _budget_error(node_budget, cls, box)
             if idx < last:
                 break
             if core.satisfies_flat(h, box, cls):
                 yield h
             h[idx] += 1
+        idx += 1
+
+
+def _budget_error(node_budget: int, cls: SymmetryClass, box: BoxDims) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"node budget {node_budget} exceeded enumerating {cls.value} in {box}"
+    )
 
 
 def _compile(box: BoxDims, cls: SymmetryClass):
-    """Per cell (up, left, sources, counts), row-major; None if the class is empty.
+    """Per cell (up, left, sources, counts, single, forced), row-major; None
+    if the class is empty.
 
     up and left are the flat indices of the neighbours, or n (the sentinel)
     at an edge.  A source (offset, factor, index) forces the cell to
@@ -137,6 +173,9 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     is the cyclic rule h[i][j] >= r+1 iff h[r][i] >= j+1 against the
     assigned partner cells h[start:stop:step]: m of them are >= t, and the
     cell equals m unless m == free_size, which only bounds it below by m.
+    A cell with a source, or with a count over a complete row (free_size
+    -1), is forced: it has at most one candidate.  single is the source of
+    a cell whose one rule is that source, else None.
     """
     a, b, c = box.a, box.b, box.c
     n = a * b
@@ -172,7 +211,9 @@ def _compile(box: BoxDims, cls: SymmetryClass):
                         counts.append((i * b, i * b + i, 1, i + 1, i))
             up = (i - 1) * b + j if i else n
             left = i * b + j - 1 if j else n
-            plan.append((up, left, tuple(sources), tuple(counts)))
+            single = sources[0] if len(sources) == 1 and not counts else None
+            forced = bool(sources) or any(count[4] == -1 for count in counts)
+            plan.append((up, left, tuple(sources), tuple(counts), single, forced))
     return plan
 
 
@@ -195,19 +236,33 @@ def signed_count(
         convention = "reference: lexicographically first member (global sign arbitrary)"
     if reference is None:
         return SignedCount(0, "oracle-bruteforce", cls, box, "empty class")
-    decomposition = core.orbit_decomposition(box, cls)
     # one cell (i, j, k) per orbit: a member holds it iff h at (i, j) >= k
     b = box.b
-    triples = []
-    for orbit in decomposition.orbits:
+    reps = []
+    for orbit in core.orbit_decomposition(box, cls).orbits:
         i, j, k = next(iter(orbit.half_a))
         index = (i - 1) * b + j - 1
-        triples.append((index, k, reference[index] >= k))
+        reps.append((index, k, reference[index] >= k))
+    flips = _cell_table(box, reps)  # flips[idx][v]: reps at idx where v differs from the reference
     total = 0
     for h in _walk(box, cls, node_budget):
-        d = sum(1 for index, k, bit in triples if (h[index] >= k) != bit)
-        total += -1 if d % 2 else 1
+        total += -1 if sum(map(list.__getitem__, flips, h)) & 1 else 1
     return SignedCount(total, "oracle-bruteforce", cls, box, convention)
+
+
+def _cell_table(box: BoxDims, reps: list[tuple[int, int, bool]]) -> list[list[int]]:
+    """table[idx][v]: how many (idx, k, bit) in reps have (v >= k) != bit.
+
+    Summed over a member's cells, sum(map(list.__getitem__, table, h)),
+    that counts the reps whose cell (i, j, k) the member holds against bit;
+    the sentinel h[n] has no row, so map leaves it out.
+    """
+    table = [[0] * (box.c + 1) for _ in range(box.a * box.b)]
+    for index, k, bit in reps:
+        row = table[index]
+        for v in range(box.c + 1):
+            row[v] += (v >= k) != bit
+    return table
 
 
 def weighted_count(
@@ -231,10 +286,12 @@ def weighted_count(
             raise UnsupportedClassError(
                 "q^orbits needs a class with a nontrivial symmetry group"
             )
-        reps = [((i - 1) * box.b + j - 1, k) for i, j, k in core.symmetry_orbit_reps(box, cls)]
+        reps = [((i - 1) * box.b + j - 1, k, False)
+                for i, j, k in core.symmetry_orbit_reps(box, cls)]
+        orbits = _cell_table(box, reps)  # orbits[idx][v]: reps at idx that height v holds
         total = Fraction(0)
         for h in _walk(box, cls, node_budget):
-            total += w.q ** sum(1 for index, k in reps if h[index] >= k)
+            total += w.q ** sum(map(list.__getitem__, orbits, h))
         return int(total) if total.denominator == 1 else total
     raise InvalidInputError(f"unknown weight kind {w.tag}")
 

@@ -218,13 +218,6 @@ def test_orbit_swap_flips_sign(cls, box):
             assert core.sign_weight(candidate, cls) == -core.sign_weight(pp, cls)
 
 
-def test_json_roundtrip():
-    box = BoxDims(2, 2, 2)
-    pp = PlanePartition.from_heights([[2, 1], [1, 0]], box)
-    assert PlanePartition.from_json(pp.to_json(), box) == pp
-    assert pp.to_json() == "[[2, 1], [1, 0]]"
-
-
 def test_degenerate_box_has_single_empty_partition():
     for cls in (SC.TC, SC.SC, SC.STC):
         box = BoxDims(2, 2, 0) if cls is not SC.SC else BoxDims(2, 3, 0)

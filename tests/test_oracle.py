@@ -90,6 +90,21 @@ def test_walk_node_counts_are_pinned(cls, box, nodes):
     assert visits_exactly(box, cls, nodes)
 
 
+@pytest.mark.parametrize("cls, box, nodes", [
+    (SC.TC, (6, 6, 4), 95_410),
+    (SC.STC, (7, 7, 4), 21_482),
+    (SC.SC, (6, 4, 4), 102_630),
+    (SC.SC, (4, 5, 5), 78_505),
+    (SC.CSTC, (6, 6, 6), 3_653),
+    (SC.CSSC, (6, 6, 6), 144_567),
+    (SC.TSSC, (6, 6, 6), 47_828),
+])
+def test_walk_node_counts_at_benchmark_scale(cls, box, nodes):
+    # the boxes the benchmark times, where backtracking crosses long runs of
+    # forced cells
+    assert visits_exactly(BoxDims(*box), cls, nodes)
+
+
 def test_deep_box_walk_needs_no_recursion():
     # 1,600 cells: deeper than the default recursion limit, were the walk to
     # recurse once per cell
