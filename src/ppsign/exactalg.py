@@ -10,6 +10,7 @@ independent perfect-matching cross-check at small sizes.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
@@ -45,12 +46,21 @@ def dims(m: MatrixLike) -> tuple[int, int]:
 
 
 def transpose(m: MatrixLike) -> list[list[Rational]]:
-    return [list(col) for col in zip(*m)] if len(list(m)) else []
+    return [list(col) for col in zip(*_as_rows(m))]
 
 
 def matmul(a: MatrixLike, b: MatrixLike) -> list[list[Rational]]:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """The product a·b.  Ragged rows or unequal inner dimensions raise
+    DimensionError; a left factor with no rows has no column count to
+    check and gives the empty product."""
+    a_rows, b_rows = _as_rows(a), _as_rows(b)
+    if a_rows and len(a_rows[0]) != len(b_rows):
+        raise DimensionError(
+            f"cannot multiply {len(a_rows)}x{len(a_rows[0])} by "
+            f"{len(b_rows)}x{len(b_rows[0]) if b_rows else 0}"
+        )
+    cols = list(zip(*b_rows))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a_rows]
 
 
 def is_skew(m: MatrixLike) -> bool:

@@ -6,8 +6,9 @@ integer lattice points (south/east steps, weight -1 per unit of area under
 a horizontal step).  Nonintersecting-family counts then come out of a
 determinant, or of a Pfaffian via the minor-summation formula when the
 starting points range over a pool.  Matrix entries that the derivations
-simplify are recomputed here from the literal double sums, so the closed
-forms can be tested against an independent route.
+simplify are recomputed here from the double sums over the pool (by running
+sums; the literal form is the test reference), so the closed forms can be
+tested against an independent route.
 """
 
 from __future__ import annotations
@@ -54,24 +55,19 @@ def path_count_signed(start: Point, end: Point) -> int:
 
 
 def _skew_double_sum(g: Sequence[Sequence[int]]) -> list[list[int]]:
-    """M[i][j] = sum_{l,r} G[l][i] G[r][j] sgn(r - l), by the literal sums."""
-    p = len(g)
-    n = len(g[0]) if p else 0
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = 0
-            for l in range(p):
-                gli = g[l][i]
-                if gli == 0:
-                    continue
-                for r in range(p):
-                    if r == l:
-                        continue
-                    total += gli * g[r][j] * (1 if r > l else -1)
-            m[i][j] = total
-            m[j][i] = -total
-    return m
+    """M[i][j] = sum_{l,r} G[l][i] G[r][j] sgn(r - l), by running sums.
+
+    One pass of running column sums gives S[l][j] = sum_{r>l} G[r][j] -
+    sum_{r<l} G[r][j], and M = G^T S, which is exactly skew since sgn is
+    odd.  The literal double sum is the test reference.
+    """
+    total = [sum(col) for col in zip(*g)]
+    below = [0] * len(total)
+    s = []
+    for row in g:
+        s.append([t - 2 * u - x for t, u, x in zip(total, below, row)])
+        below = [u + x for u, x in zip(below, row)]
+    return exactalg.matmul(exactalg.transpose(g), s)
 
 
 def _stc_pool(offset: int, alpha: int, b: int) -> list[list[int]]:
@@ -343,10 +339,12 @@ def scpp_enum(a: int, b: int, c: int) -> SignedCount:
         return SignedCount(1, "lgv-pfaffian", SymmetryClass.SC, box,
                            "reference: half-full partition")
     cm = scpp_matrix(a, b, c)
+    # S*·J·S*^T with J = [[0, I], [-I, 0]] is L·R^T - R·L^T = P - P^T for
+    # the column halves L and R of S*
     n = len(cm.rows[0]) // 2
-    block = [[0] * n + [int(i == j) for j in range(n)] for i in range(n)]
-    block += [[-int(i == j) for j in range(n)] + [0] * n for i in range(n)]
-    m = exactalg.matmul(exactalg.matmul(cm.rows, block), exactalg.transpose(cm.rows))
+    left, right = [r[:n] for r in cm.rows], [r[n:] for r in cm.rows]
+    p = exactalg.matmul(left, exactalg.transpose(right))
+    m = [[x - y for x, y in zip(row, col)] for row, col in zip(p, zip(*p))]
     value = cm.global_sign * exactalg.pfaffian(m)
     return SignedCount(value, "lgv-pfaffian", SymmetryClass.SC, box,
                        "reference: half-full partition")

@@ -328,6 +328,47 @@ def nonintersecting_family_sum(starts, ends, weight=None) -> int:
     return rec(0, frozenset())
 
 
+def skew_double_sum_literal(g) -> list[list[int]]:
+    """M[i][j] = sum_{l,r} G[l][i] G[r][j] sgn(r - l), by the literal sums."""
+    p = len(g)
+    n = len(g[0]) if p else 0
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            total = 0
+            for l in range(p):
+                gli = g[l][i]
+                if gli == 0:
+                    continue
+                for r in range(p):
+                    if r == l:
+                        continue
+                    total += gli * g[r][j] * (1 if r > l else -1)
+            m[i][j] = total
+            m[j][i] = -total
+    return m
+
+
+def sc_product_literal(rows) -> list[list[int]]:
+    """S*·J·S*^T for the SC path matrix S*, with the block matrix
+    J = [[0, I], [-I, 0]] written out and both products taken entry by
+    entry."""
+    if not rows:
+        return []
+    n = len(rows[0]) // 2
+    j_block = [[0] * n + [int(i == k) for k in range(n)] for i in range(n)]
+    j_block += [[-int(i == k) for k in range(n)] + [0] * n for i in range(n)]
+
+    def product(a, b):
+        return [
+            [sum(a[i][t] * b[t][k] for t in range(len(b))) for k in range(len(b[0]))]
+            for i in range(len(a))
+        ]
+
+    rows_t = [list(col) for col in zip(*rows)]
+    return product(product(rows, j_block), rows_t)
+
+
 def det_permutation_expansion(m) -> Fraction:
     n = len(m)
     total = Fraction(0)

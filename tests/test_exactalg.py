@@ -90,6 +90,43 @@ def test_det_block_triangular_multiplicative():
         assert exactalg.det(m) == exactalg.det(a) * exactalg.det(b)
 
 
+def test_matmul_examples():
+    assert exactalg.matmul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
+    assert exactalg.matmul([[1, 2, 3]], [[1], [0], [Fraction(1, 2)]]) == [
+        [Fraction(5, 2)]
+    ]
+    assert exactalg.matmul([], [[1, 2]]) == []
+    assert exactalg.matmul([[], []], []) == [[], []]
+
+
+def test_matmul_rejects_inner_dimension_mismatch():
+    # a zip over the inner dimension would return [[1, 2], [4, 5]]
+    with pytest.raises(DimensionError):
+        exactalg.matmul([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1]])
+    with pytest.raises(DimensionError):
+        exactalg.matmul([[1, 2]], [[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(DimensionError):
+        exactalg.matmul([[1, 2]], [])
+
+
+def test_matmul_rejects_ragged_rows():
+    with pytest.raises(DimensionError):
+        exactalg.matmul([[1, 2], [3]], [[1, 0], [0, 1]])
+    with pytest.raises(DimensionError):
+        exactalg.matmul([[1, 2], [3, 4]], [[1, 0], [0]])
+
+
+def test_transpose_reads_its_input_once():
+    m = [[1, 2, 3], [4, 5, 6]]
+    want = [[1, 4], [2, 5], [3, 6]]
+    assert exactalg.transpose(m) == want
+    assert exactalg.transpose(row for row in m) == want
+    assert exactalg.transpose(iter(m)) == want
+    assert exactalg.transpose([]) == []
+    with pytest.raises(DimensionError):
+        exactalg.transpose([[1, 2], [3]])
+
+
 def test_pfaffian_examples():
     assert exactalg.pfaffian([[0, 3], [-3, 0]]) == 3
     m = [

@@ -12,6 +12,8 @@ from oracles import (
     area2_sign,
     dp_signed_path_count,
     nonintersecting_family_sum,
+    sc_product_literal,
+    skew_double_sum_literal,
 )
 
 SC = SymmetryClass
@@ -341,3 +343,96 @@ def test_tsscpp_pool_entries_are_weighted_path_counts():
                 expected = paths.path_count_signed((i, i), (2 * j, j))
                 expected *= (-1) ** (i * (i + 1) // 2 % 2)
                 assert pool[i - 1][j - 1] == expected
+
+
+def test_skew_double_sum_matches_literal_on_random_matrices():
+    rng = random.Random(8)
+    for p in range(9):
+        for n in range(7):
+            for trial in range(3):
+                g = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(p)]
+                if trial and p and n:
+                    # a zero row and a zero column
+                    g[rng.randrange(p)] = [0] * n
+                    zero_col = rng.randrange(n)
+                    for row in g:
+                        row[zero_col] = 0
+                assert paths._skew_double_sum(g) == skew_double_sum_literal(g), g
+
+
+def test_skew_double_sum_matches_literal_on_pools():
+    for offset in (0, 1):
+        for alpha in range(5):
+            for b in range(5):
+                g = paths._stc_pool(offset, alpha, b)
+                assert paths._skew_double_sum(g) == skew_double_sum_literal(g)
+    for alpha in range(7):
+        g = paths.tsscpp_pool(alpha)
+        assert paths._skew_double_sum(g) == skew_double_sum_literal(g)
+
+
+def test_scpp_enum_matches_literal_sc_product():
+    sides = (0, 2, 4, 6)
+    for a in sides:
+        for b in sides:
+            for c in sides:
+                cm = paths.scpp_matrix(a, b, c)
+                want = cm.global_sign * exactalg.pfaffian(sc_product_literal(cm.rows))
+                assert paths.scpp_enum(a, b, c).value == want, (a, b, c)
+
+
+# every route that accepts a box, by class: each gives the signed value
+_DEGENERATE_ROUTES = {
+    "tc": lambda a, b: [
+        paths.tcpp_enum(a, b).value,
+        formulas.thm1_tcpp(a, b),
+        oracle.signed_count(BoxDims(a, a, 2 * b), SC.TC).value,
+    ],
+    "stc": lambda alpha, b: [
+        paths.stcpp_enum(alpha, b).value,
+        formulas.thm2_stcpp(alpha, b),
+        oracle.signed_count(BoxDims(2 * alpha, 2 * alpha, 2 * b), SC.STC).value,
+    ],
+    "stc-odd": lambda alpha, b: [
+        paths.stcpp_odd_enum(alpha, b).value,
+        oracle.signed_count(
+            BoxDims(2 * alpha + 1, 2 * alpha + 1, 2 * b), SC.STC
+        ).value,
+    ],
+    "sc": lambda a, b, c: [
+        paths.scpp_enum(a, b, c).value,
+        formulas.thm6_scpp(a, b, c),
+        oracle.signed_count(BoxDims(a, b, c), SC.SC).value,
+    ],
+    "cstc": lambda alpha: [
+        paths.cstcpp_enum(alpha).value,
+        paths.cstcpp_full_det(alpha),
+        formulas.thm4_cstcpp(alpha),
+        oracle.signed_count(BoxDims(2 * alpha, 2 * alpha, 2 * alpha), SC.CSTC).value,
+    ],
+    "tssc": lambda alpha: [
+        paths.tsscpp_enum(alpha).value,
+        paths.tsscpp_pfaffian_value(alpha),
+        formulas.thm5_tsscpp(alpha),
+        oracle.signed_count(BoxDims(2 * alpha, 2 * alpha, 2 * alpha), SC.TSSC).value,
+    ],
+}
+
+_DEGENERATE_CASES = (
+    [("tc", ab) for ab in [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (3, 0)]]
+    + [(kind, ab) for kind in ("stc", "stc-odd")
+       for ab in [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]]
+    + [("sc", box) for box in [(0, 2, 2), (2, 0, 2), (2, 2, 0), (0, 0, 0),
+                               (4, 0, 2), (0, 4, 6), (2, 4, 0)]]
+    + [("cstc", (0,)), ("tssc", (0,))]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, args", _DEGENERATE_CASES,
+    ids=["-".join([kind, *map(str, args)]) for kind, args in _DEGENERATE_CASES],
+)
+def test_degenerate_boxes_agree_on_every_route(kind, args):
+    # a box with a zero side holds only the empty partition, counted +1
+    values = _DEGENERATE_ROUTES[kind](*args)
+    assert values == [1] * len(values)
