@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import random
 import sys
 import time
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Callable
 
 from . import exactalg, formulas, oracle, paths, qseries
@@ -377,129 +378,136 @@ def cmd_verify(args) -> int:
 # identity checks
 
 
-def _fuzz_rationals(rng: random.Random, count: int) -> list[Fraction]:
+@dataclass(frozen=True)
+class IdentitySpec:
+    """An identity: ``check(subset_budget, *instance)`` says whether it holds.
+
+    An instance is the values of ``params``, which its label shows, then any
+    drawn data the label leaves out; such data puts the instance's index in
+    the label.  Without ``--fuzz`` the instance is ``defaults`` under the
+    ``--<param>`` flags given, or one ``draw`` when there are no defaults;
+    ``--fuzz N`` takes N draws from the seeded generator.
+    """
+
+    params: tuple[str, ...]
+    defaults: tuple[int, ...]
+    draw: Callable[[random.Random], tuple]
+    check: Callable[..., bool]
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """The parameter flags the default instance reads."""
+        return self.params if self.defaults else ()
+
+
+def _rationals(rng: random.Random, count: int) -> list[Fraction]:
     return [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(count)]
 
 
-def _given(value, default):
-    """The flag's value, or the default when the flag was not given; 0 is a
-    value, not a missing flag."""
-    return default if value is None else value
+def _draw_detl(rng: random.Random) -> tuple:
+    n = rng.randint(1, 5)
+    while len(set(x := _rationals(rng, n))) < n:
+        pass
+    return n, x, _rationals(rng, n - 1), _rationals(rng, n - 1)
 
 
-def _identity_instances(name: str, args, cfg: RunConfig, rng: random.Random):
-    """Yield (label, callable) pairs; the callable returns True on success."""
-    fuzz = args.fuzz
-    if name == "detl":
-        if fuzz:
-            for t in range(fuzz):
-                n = rng.randint(1, 5)
-                while True:
-                    x = _fuzz_rationals(rng, n)
-                    if len(set(x)) == n:
-                        break
-                a = _fuzz_rationals(rng, n - 1)
-                b = _fuzz_rationals(rng, n - 1)
-                yield f"detl[{t}] n={n}", (
-                    lambda x=x, a=a, b=b: formulas.lemma_detl_check(x, a, b)
-                )
-        else:
-            n = _given(args.n, 1)
-            x = [Fraction(i + 1) for i in range(n)]
-            a = [Fraction(i) for i in range(n - 1)]
-            b = [Fraction(2 * i + 1) for i in range(n - 1)]
-            yield f"detl n={n}", lambda: formulas.lemma_detl_check(x, a, b)
-    elif name == "2ji":
-        sweep = (
-            [(rng.randint(1, 6), rng.randint(0, 6), rng.randint(0, 1)) for _ in range(fuzz)]
-            if fuzz
-            else [(_given(args.alpha, 2), _given(args.beta, 2), _given(args.gamma, 0))]
-        )
-        for alpha, beta, gamma in sweep:
-            yield (
-                f"2ji alpha={alpha} beta={beta} gamma={gamma}",
-                lambda a=alpha, b=beta, g=gamma: formulas.lemma_2ji(a, b, g) is not None,
-            )
-    elif name == "m1":
-        cases = (
-            [(2 * rng.randint(1, 3), rng.randint(0, 6)) for _ in range(fuzz)]
-            if fuzz
-            else [(_given(args.alpha, 2), _given(args.b, 2))]
-        )
-        for alpha, b in cases:
-            def check(alpha=alpha, b=b):
-                closed = formulas.lemma_M1(alpha, b)
-                direct = exactalg.det(paths.stcpp_matrix(alpha, b).rows)
-                return closed == direct
-            yield f"m1 alpha={alpha} b={b}", check
-    elif name == "mrr":
-        cases = (
-            [(rng.randint(1, 6), Fraction(rng.randint(0, 6))) for _ in range(fuzz)]
-            if fuzz
-            else [(_given(args.n, 4), Fraction(_given(args.mu, 2)))]
-        )
-        for n, mu in cases:
-            yield f"mrr n={n} mu={mu}", (
-                lambda n=n, mu=mu: formulas.mrr_det(mu, n) is not None
-            )
-    elif name == "pfaff-saalschutz":
-        for t in range(fuzz or 1):
-            while True:
-                n = rng.randint(0, 8)
-                a, b, c = _fuzz_rationals(rng, 3)
-                lower2 = 1 + a + b - c - n
-                try:
-                    rhs = qseries.pfaff_saalschutz_rhs(a, b, c, n)
-                    lhs = qseries.hyper_terminating(
-                        qseries.HyperParams((a, b, -n), (c, lower2), Fraction(1))
-                    )
-                except PPSignError:
-                    continue
-                break
-            yield f"pfaff-saalschutz[{t}] n={n}", (
-                lambda lhs=lhs, rhs=rhs: lhs == rhs
-            )
-    elif name == "minor-summation":
-        for t in range(fuzz or 1):
-            p = rng.choice([2, 4, 6, 8])
-            n = rng.choice([m for m in (2, 4) if m <= p])
-            tmat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(p)]
-            amat = [[0] * p for _ in range(p)]
-            for i in range(p):
-                for j in range(i + 1, p):
-                    v = rng.randint(-5, 5)
-                    amat[i][j] = v
-                    amat[j][i] = -v
-            yield f"minor-summation[{t}] p={p} n={n}", (
-                lambda tm=tmat, am=amat: (lambda pair: pair[0] == pair[1])(
-                    paths.minor_summation(tm, am, cfg.subset_budget)
-                )
-            )
-    elif name == "recurrence-s4":
-        alphas = [2 * rng.randint(1, 3) for _ in range(fuzz)] if fuzz else [_given(args.alpha, 4)]
-        for alpha in alphas:
-            def check(alpha=alpha):
-                return not any(
-                    formulas.mtilde_recurrence_residual(alpha, b, i, j)
-                    for b in range(0, 9, 2)
-                    for i in range(1, 4)
-                    for j in range(1, 4)
-                ) and all(
-                    formulas.mtilde_divisibility_holds(alpha, t, j)
-                    for t in range(1, 4)
-                    for j in range(1, 3)
-                )
-            yield f"recurrence-s4 alpha={alpha}", check
+def _draw_saalschutz(rng: random.Random) -> tuple:
+    """n and both sides at random rational a, b, c, drawn again while a side
+    is singular."""
+    while True:
+        n = rng.randint(0, 8)
+        a, b, c = _rationals(rng, 3)
+        try:
+            rhs = qseries.pfaff_saalschutz_rhs(a, b, c, n)
+            upper, lower = (a, b, -n), (c, 1 + a + b - c - n)
+            return n, qseries.hyper_terminating(qseries.HyperParams(upper, lower)), rhs
+        except PPSignError:
+            continue
+
+
+def _draw_minor_summation(rng: random.Random) -> tuple:
+    p = rng.choice([2, 4, 6, 8])
+    n = rng.choice([m for m in (2, 4) if m <= p])
+    tmat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(p)]
+    amat = [[0] * p for _ in range(p)]
+    for i, j in combinations(range(p), 2):
+        amat[i][j] = rng.randint(-5, 5)
+        amat[j][i] = -amat[i][j]
+    return p, n, tmat, amat
+
+
+def _detl(_, n: int, *xab) -> bool:
+    """The lemma at drawn points, else at x_i = i + 1, a_i = i, b_i = 2i + 1."""
+    x, a, b = xab or (
+        [Fraction(i + 1) for i in range(n)],
+        [Fraction(i) for i in range(n - 1)],
+        [Fraction(2 * i + 1) for i in range(n - 1)],
+    )
+    return formulas.lemma_detl_check(x, a, b)
+
+
+def _recurrence_s4(_, alpha: int) -> bool:
+    return not any(
+        formulas.mtilde_recurrence_residual(alpha, b, i, j)
+        for b in range(0, 9, 2) for i in range(1, 4) for j in range(1, 4)
+    ) and all(
+        formulas.mtilde_divisibility_holds(alpha, t, j) for t in range(1, 4) for j in range(1, 3)
+    )
+
+
+# Each check looks its functions up on the module when it runs, as the class
+# routes do.  The parser offers the names in this order.
+_IDENTITIES = {
+    "detl": IdentitySpec(("n",), (1,), _draw_detl, _detl),
+    "2ji": IdentitySpec(
+        ("alpha", "beta", "gamma"), (2, 2, 0),
+        lambda rng: (rng.randint(1, 6), rng.randint(0, 6), rng.randint(0, 1)),
+        lambda _, alpha, beta, gamma: operator.eq(*formulas.lemma_2ji(alpha, beta, gamma)),
+    ),
+    "m1": IdentitySpec(
+        ("alpha", "b"), (2, 2), lambda rng: (2 * rng.randint(1, 3), rng.randint(0, 6)),
+        lambda _, alpha, b: formulas.lemma_M1(alpha, b)
+        == exactalg.det(paths.stcpp_matrix(alpha, b).rows),
+    ),
+    "mrr": IdentitySpec(
+        ("n", "mu"), (4, 2), lambda rng: (rng.randint(1, 6), rng.randint(0, 6)),
+        lambda _, n, mu: operator.eq(*formulas.mrr_det(mu, n)),
+    ),
+    "pfaff-saalschutz": IdentitySpec(
+        ("n",), (), _draw_saalschutz, lambda _, n, lhs, rhs: lhs == rhs
+    ),
+    "minor-summation": IdentitySpec(
+        ("p", "n"), (), _draw_minor_summation,
+        lambda budget, p, n, tmat, amat: operator.eq(*paths.minor_summation(tmat, amat, budget)),
+    ),
+    "recurrence-s4": IdentitySpec(
+        ("alpha",), (4,), lambda rng: (2 * rng.randint(1, 3),), _recurrence_s4
+    ),
+}
+_IDENTITY_FLAGS = tuple(dict.fromkeys(f for spec in _IDENTITIES.values() for f in spec.flags))
 
 
 def cmd_identity(args) -> int:
     cfg = _config_from_args(args)
+    spec = _IDENTITIES[args.name]
+    given = {f: getattr(args, f) for f in _IDENTITY_FLAGS if getattr(args, f) is not None}
+    stray = [f"--{f}" for f in given if args.fuzz or f not in spec.flags]
+    if stray:
+        fuzz = " --fuzz" if args.fuzz else ""
+        print(f"error: identity {args.name}{fuzz} reads no {' '.join(stray)}", file=sys.stderr)
+        return EXIT_USAGE
     rng = random.Random(cfg.seed)
+    instances = (
+        (spec.draw(rng) for _ in range(args.fuzz or 1)) if args.fuzz or not spec.defaults
+        else [tuple(given.get(f, d) for f, d in zip(spec.flags, spec.defaults))]
+    )
     records = []
     failures = 0
-    for label, check in _identity_instances(args.name, args, cfg, rng):
+    for t, instance in enumerate(instances):
+        label = args.name + (f"[{t}]" if len(instance) > len(spec.params) else "")
+        label += "".join(f" {p}={v}" for p, v in zip(spec.params, instance))
         try:
-            ok = bool(check())
+            ok = spec.check(cfg.subset_budget, *instance)
         except (DimensionError, DomainError, UnsupportedClassError) as exc:
             print(f"error: {label}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -507,7 +515,7 @@ def cmd_identity(args) -> int:
             print(f"budget: {label}: {exc}", file=sys.stderr)
             return EXIT_BUDGET if cfg.strict else EXIT_OK
         except InternalConsistencyError as exc:
-            # the identity's two sides disagreed inside the check
+            # a kernel failed its own cross-check inside the identity
             print(f"error: {label}: {exc}", file=sys.stderr)
             ok = False
         failures += 0 if ok else 1
@@ -555,22 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_ident = sub.add_parser("identity", help="run a named identity check")
-    p_ident.add_argument(
-        "--name",
-        required=True,
-        choices=(
-            "detl", "2ji", "m1", "mrr",
-            "pfaff-saalschutz", "minor-summation", "recurrence-s4",
-        ),
-    )
+    p_ident.add_argument("--name", required=True, choices=tuple(_IDENTITIES))
     p_ident.add_argument("--fuzz", type=int, default=0)
     p_ident.add_argument("--seed", type=int, default=0)
-    p_ident.add_argument("--n", type=int)
-    p_ident.add_argument("--mu", type=int)
-    p_ident.add_argument("--alpha", type=int)
-    p_ident.add_argument("--beta", type=int)
-    p_ident.add_argument("--gamma", type=int)
-    p_ident.add_argument("--b", type=int)
+    for flag in _IDENTITY_FLAGS:
+        p_ident.add_argument(f"--{flag}", type=int)
     common(p_ident)
     p_ident.set_defaults(func=cmd_identity)
 

@@ -75,7 +75,8 @@ def det(m: MatrixLike) -> Rational:
     """Exact determinant via fraction-free Bareiss elimination.
 
     Integer input yields an integer; rational input is row-scaled to
-    integers first so every intermediate pivot step stays integral.
+    integers first so every intermediate pivot step stays integral; a step
+    that leaves the integers raises InternalConsistencyError.
     """
     rows = _as_rows(m)
     n = len(rows)
@@ -113,7 +114,8 @@ def det(m: MatrixLike) -> Rational:
             for j in range(k + 1, n):
                 num = row_i[j] * pkk - mik * row_k[j]
                 q, r = divmod(num, prev)
-                assert r == 0, "Bareiss pivot step left the integers"
+                if r:
+                    raise InternalConsistencyError("Bareiss pivot step left the integers")
                 row_i[j] = q
             row_i[k] = 0
         prev = pkk
@@ -201,7 +203,7 @@ def pfaffian(m: MatrixLike) -> Rational:
     that does not divide |Pf|: then p does not divide det, the elimination
     finds every pivot, and for odd p the residues of Pf and -Pf differ.
     For dimensions up to 8 the result is cross-checked against the direct
-    perfect-matching sum.
+    perfect-matching sum, and a disagreement raises InternalConsistencyError.
     """
     rows = _as_rows(m)
     n = len(rows)
@@ -236,8 +238,8 @@ def pfaffian(m: MatrixLike) -> Rational:
             )
     result = value if scale == 1 else Fraction(value, scale ** (n // 2))
     if n <= _PFAFFIAN_CHECK_DIM:
-        check = _pfaffian_matching_sum(rows)
-        assert result == check, "pfaffian disagrees with definition sum"
+        if result != _pfaffian_matching_sum(rows):
+            raise InternalConsistencyError("pfaffian disagrees with definition sum")
     return result
 
 

@@ -85,7 +85,9 @@ def test_criterion_4_cstcpp():
             assert got_oracle == got_lgv == got_full == got_formula == expected[alpha]
             if alpha % 2 == 1 and alpha > 1:
                 n = (alpha - 1) // 2
-                assert got_lgv == formulas.mrr_det(1, n) ** 2
+                det, closed = formulas.mrr_det(1, n)
+                assert det == closed
+                assert got_lgv == det ** 2
 
 
 def test_criterion_5_tsscpp():
@@ -184,11 +186,13 @@ def test_criterion_9_identity_suite():
         for alpha in range(1, 7):
             for beta in range(0, 7):
                 for gamma in (0, 1):
-                    formulas.lemma_2ji(alpha, beta, gamma)
+                    lhs, rhs = formulas.lemma_2ji(alpha, beta, gamma)
+                    assert lhs == rhs, (alpha, beta, gamma)
         # MRR determinant
         for n in range(1, 7):
             for mu in range(0, 5):
-                formulas.mrr_det(mu, n)
+                lhs, rhs = formulas.mrr_det(mu, n)
+                assert lhs == rhs, (mu, n)
         # Saalschuetzian summation, 100 random instances with n <= 8
         done = 0
         while done < 100:

@@ -273,14 +273,42 @@ def test_enumerate_deep_box_stops_on_budget(capsys):
 
 
 def test_identity_mismatch_inside_a_check_is_fail(capsys, monkeypatch):
-    # lemma_2ji and mrr_det raise when their two sides disagree
+    # lemma_2ji and mrr_det return both sides; the check compares them
     real = exactalg.det
     monkeypatch.setattr(exactalg, "det", lambda m: real(m) + 1)
     for argv in (("--name", "2ji"), ("--name", "mrr"), ("--name", "2ji", "--fuzz", "3")):
         code, out, err = run_cli(capsys, "identity", *argv)
         assert code == 1
         assert all(r["result"] == "FAIL" for r in json.loads(out))
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err == ""
+
+
+def test_failed_kernel_cross_check_exits_one(capsys, monkeypatch):
+    real = exactalg._pfaffian_matching_sum
+    monkeypatch.setattr(exactalg, "_pfaffian_matching_sum", lambda rows: real(rows) + 1)
+    code, out, err = run_cli(capsys, "verify", "--class", "stc-odd", "--max-alpha", "1",
+                             "--max-b", "1")
+    assert code == 1
+    assert "MISMATCH" in {r["status"] for r in json.loads(out)}
+    assert "definition sum" in err and "Traceback" not in err
+    code, out, err = run_cli(capsys, "identity", "--name", "minor-summation")
+    assert code == 1
+    assert [r["result"] for r in json.loads(out)] == ["FAIL"]
+    assert err.startswith("error:") and "definition sum" in err
+
+
+def test_identity_flag_nothing_reads_is_usage_error(capsys):
+    for argv in (
+        ("--name", "pfaff-saalschutz", "--n", "3"),
+        ("--name", "detl", "--alpha", "5"),
+        ("--name", "2ji", "--fuzz", "1", "--alpha", "5"),
+        ("--name", "minor-summation", "--b", "2"),
+    ):
+        code, out, err = run_cli(capsys, "identity", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, argv
+        assert argv[-2] in err, argv
 
 
 def test_internal_failure_in_a_route_exits_one(capsys, monkeypatch):

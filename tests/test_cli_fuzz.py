@@ -26,6 +26,7 @@ CLASS_NAMES = (*SHORT_NAMES, *LONG_NAMES, "nope")
 IDENTITIES = (
     "detl", "2ji", "m1", "mrr", "pfaff-saalschutz", "minor-summation", "recurrence-s4",
 )
+IDENTITY_FLAGS = ("--n", "--mu", "--alpha", "--beta", "--gamma", "--b")
 PARAMETER = st.integers(-2, 5)
 GRID_MAX = st.integers(-1, 3)
 BUDGET = st.integers(-1, 20_000)
@@ -45,11 +46,17 @@ def argvs(draw) -> list[str]:
         valued["--class"] = st.sampled_from((*CLASS_NAMES, "all"))
         switches.append("--smoke")
     else:
-        argv += ["--name", draw(st.sampled_from(IDENTITIES))]
-        valued = {
-            flag: PARAMETER
-            for flag in ("--fuzz", "--seed", "--n", "--mu", "--alpha", "--beta", "--gamma", "--b")
-        }
+        name = draw(st.sampled_from(IDENTITIES))
+        argv += ["--name", name]
+        # the identity's own parameter flags, or --fuzz, which reads none of
+        # them; a stray flag now and then is a usage error
+        valued = {"--seed": PARAMETER}
+        if draw(st.booleans()):
+            valued["--fuzz"] = PARAMETER
+        else:
+            valued.update({f"--{flag}": PARAMETER for flag in cli._IDENTITIES[name].flags})
+        if draw(st.integers(0, 7)) == 0:
+            valued[draw(st.sampled_from(IDENTITY_FLAGS))] = PARAMETER
     valued["--format"] = st.sampled_from(("json", "tsv", "human"))
     valued["--subset-budget"] = BUDGET
     for flag, values in valued.items():

@@ -84,12 +84,13 @@ def test_lemma_detl_spec_instances():
 
 
 def test_lemma_2ji_values_and_sweep():
-    assert formulas.lemma_2ji(1, 2, 0) == 3
-    assert formulas.lemma_2ji(2, 2, 1) == 4
+    assert formulas.lemma_2ji(1, 2, 0) == (3, 3)
+    assert formulas.lemma_2ji(2, 2, 1) == (4, 4)
     for alpha in range(1, 7):
         for beta in range(0, 7):
             for gamma in (0, 1):
-                formulas.lemma_2ji(alpha, beta, gamma)  # raises on mismatch
+                lhs, rhs = formulas.lemma_2ji(alpha, beta, gamma)
+                assert lhs == rhs, (alpha, beta, gamma)
     with pytest.raises(DomainError):
         formulas.lemma_2ji(2, 2, 2)
 
@@ -107,12 +108,14 @@ def test_lemma_m1():
 
 
 def test_mrr_det():
-    assert formulas.mrr_det(1, 1) == 1
-    assert formulas.mrr_det(1, 2) == 3
+    assert formulas.mrr_det(1, 1) == (1, 1)
+    assert formulas.mrr_det(1, 2) == (3, 3)
     for n in range(1, 7):
         for mu in range(0, 5):
-            formulas.mrr_det(mu, n)  # raises on mismatch
-    formulas.mrr_det(Fraction(3, 2), 4)
+            lhs, rhs = formulas.mrr_det(mu, n)
+            assert lhs == rhs, (mu, n)
+    lhs, rhs = formulas.mrr_det(Fraction(3, 2), 4)
+    assert lhs == rhs
 
 
 def test_mtilde_recurrence():
@@ -165,5 +168,5 @@ def test_negative_alpha_or_b_is_out_of_domain():
     with pytest.raises(DomainError):
         formulas.mtilde_divisibility_holds(-2, 1, 1)
     # alpha = 0 is the empty matrix and stays valid
-    assert formulas.lemma_2ji(0, 2, 0) == 1
+    assert formulas.lemma_2ji(0, 2, 0) == (1, 1)
     assert formulas.lemma_M1(0, 2) == 1

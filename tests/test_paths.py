@@ -238,7 +238,12 @@ def test_cstcpp_reduction_to_known_determinant():
     for alpha in (3, 5, 7):
         n = (alpha - 1) // 2
         reduced = paths.cstcpp_enum(alpha).value
-        assert reduced == formulas.mrr_det(1, n) ** 2 if n else reduced == 1
+        if n:
+            det, closed = formulas.mrr_det(1, n)
+            assert det == closed
+            assert reduced == det ** 2
+        else:
+            assert reduced == 1
 
 
 def test_tsscpp_routes_agree():
