@@ -17,6 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import (
     DimensionError,
+    InternalConsistencyError,
     InvalidInputError,
     ShapeError,
     UnsupportedClassError,
@@ -327,10 +328,12 @@ def orbit_decomposition(box: BoxDims, cls: SymmetryClass) -> OrbitDecomposition:
             raise InvalidInputError(
                 f"orbit of {cell} does not split into two halves under {cls.value}"
             )
-        assert len(half_a) == len(half_b)
+        if len(half_a) != len(half_b):
+            raise InternalConsistencyError(f"orbit halves of {cell} differ in size")
         orbits.append(Orbit(half_a, half_b))
         assigned |= half_a | half_b
-    assert len(assigned) == box.volume()
+    if len(assigned) != box.volume():
+        raise InternalConsistencyError(f"orbits of {cls.value} do not partition {box}")
     return OrbitDecomposition(box, cls, tuple(orbits))
 
 
@@ -363,7 +366,8 @@ def reference_partition(box: BoxDims, cls: SymmetryClass) -> PlanePartition:
             for i in range(1, a + 1)
         )
     pp = PlanePartition(box, heights)
-    assert satisfies(pp, cls)
+    if not satisfies(pp, cls):
+        raise InternalConsistencyError(f"reference partition is not a {cls.value} member")
     return pp
 
 

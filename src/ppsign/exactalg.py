@@ -2,8 +2,8 @@
 
 Matrices are plain sequences of row sequences; results come back as int
 when the input was integral, Fraction otherwise.  Determinants use
-fraction-free Bareiss elimination.  A Pfaffian is the integer square root of
-that determinant, signed by one skew elimination modulo a prime, with an
+fraction-free Bareiss elimination; Pfaffians use its skew analogue, whose
+exact divisions rest on Knuth's overlapping-Pfaffian identity, with an
 independent perfect-matching cross-check at small sizes.
 """
 
@@ -13,7 +13,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DimensionError,
@@ -87,13 +87,8 @@ def det(m: MatrixLike) -> Rational:
 
     scale = 1
     work: list[list[int]] = []
-    integral = True
     for row in rows:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                integral = False
-                lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in row))
         scale *= lcm
         work.append([int(x * lcm) for x in row])
 
@@ -103,7 +98,7 @@ def det(m: MatrixLike) -> Rational:
         if work[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if work[i][k] != 0), None)
             if pivot is None:
-                return 0 if integral else Fraction(0)
+                return 0 if scale == 1 else Fraction(0)
             work[k], work[pivot] = work[pivot], work[k]
             sign = -sign
         pkk = work[k][k]
@@ -120,13 +115,7 @@ def det(m: MatrixLike) -> Rational:
             row_i[k] = 0
         prev = pkk
     value = sign * work[n - 1][n - 1]
-    return value if integral else Fraction(value, scale)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return value if scale == 1 else Fraction(value, scale)
 
 
 def _pfaffian_matching_sum(rows: list[list[Rational]]) -> Rational:
@@ -149,59 +138,52 @@ def _pfaffian_matching_sum(rows: list[list[Rational]]) -> Rational:
     return rec(tuple(range(len(rows))))
 
 
-def _sign_primes() -> Iterator[int]:
-    """The odd primes in increasing order, by trial division.
-
-    The sequence is infinite and |Pf| has finitely many prime factors, so a
-    search for one that does not divide |Pf| always ends.
-    """
-    q = 3
-    while True:
-        if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
-            yield q
-        q += 2
-
-
-def _pfaffian_mod(rows: list[list[int]], p: int) -> int:
-    """Pf mod p by skew elimination over GF(p); row/column pair swaps carry
-    the sign.  Returns 0 if the matrix is singular mod p."""
-    a = [[x % p for x in row] for row in rows]
+def _skew_eliminate(a: list[list[int]]) -> int:
+    """Pf of an integer skew matrix by fraction-free skew elimination, in
+    place; only entries above the diagonal are kept up to date."""
     n = len(a)
-    value = 1
+    sign = 1
+    prev = 1
     for k in range(0, n, 2):
-        pivot = next((j for j in range(k + 1, n) if a[k][j]), None)
-        if pivot is None:
-            return 0
-        if pivot != k + 1:
-            a[k + 1], a[pivot] = a[pivot], a[k + 1]
-            for row in a:
-                row[k + 1], row[pivot] = row[pivot], row[k + 1]
-            value = -value
+        if a[k][k + 1] == 0:
+            swap = next((j for j in range(k + 2, n) if a[k][j]), None)
+            if swap is None:
+                return 0
+            for i in range(k, n):  # restore the lower triangle, then move
+                for j in range(i + 1, n):
+                    a[j][i] = -a[i][j]
+            a[k + 1], a[swap] = a[swap], a[k + 1]
+            for row in a[k:]:
+                row[k + 1], row[swap] = row[swap], row[k + 1]
+            sign = -sign
         row_k, row_k1 = a[k], a[k + 1]
-        value = value * row_k[k + 1] % p
-        inv = pow(row_k[k + 1], -1, p)
-        tail_k, tail_k1 = row_k[k + 2 :], row_k1[k + 2 :]
-        # Schur complement: C[i][j] += (M[k+1][i] M[k][j] - M[k][i] M[k+1][j]) / pivot
+        pivot = row_k[k + 1]
         for i in range(k + 2, n):
-            u = row_k1[i] * inv
-            w = row_k[i] * inv
             row_i = a[i]
-            row_i[k + 2 :] = [
-                (x + u * y - w * z) % p
-                for x, y, z in zip(row_i[k + 2 :], tail_k, tail_k1)
-            ]
-    return value % p
+            u, w = row_k[i], row_k1[i]
+            for j in range(i + 1, n):
+                q, r = divmod(pivot * row_i[j] - u * row_k1[j] + row_k[j] * w, prev)
+                if r:
+                    raise InternalConsistencyError("Pfaffian pivot step left the integers")
+                row_i[j] = q
+        prev = pivot
+    return sign * prev
 
 
 def pfaffian(m: MatrixLike) -> Rational:
     """Pfaffian of a skew-symmetric matrix of even dimension.
 
-    |Pf| is the integer square root of the Bareiss determinant, after the
-    whole matrix is scaled by one common denominator L (Pf(L M) =
-    L^(n/2) Pf(M); a row-wise scaling would break skewness).  The sign comes
-    from one skew elimination modulo the first prime p of a fixed sequence
-    that does not divide |Pf|: then p does not divide det, the elimination
-    finds every pivot, and for odd p the residues of Pf and -Pf differ.
+    The whole matrix is first scaled by one common denominator L (Pf(L M) =
+    L^(n/2) Pf(M); a row-wise scaling would break skewness).  Then a
+    fraction-free skew elimination pivots on a[k][k+1] for k = 0, 2, 4, ...
+    and replaces every a[i][j] past the pivot pair by
+    (p a[i][j] - a[k][i] a[k+1][j] + a[k][j] a[k+1][i]) / p_prev, with p the
+    pivot and p_prev the one before it.  By Knuth's overlapping-Pfaffian
+    identity the new a[i][j] is the Pfaffian of the principal submatrix on
+    {0, ..., k+1, i, j}, so every division is exact and the last pivot is
+    Pf itself, sign included; a remainder raises InternalConsistencyError.
+    A zero pivot is replaced by swapping index k+1 with a later one, which
+    negates Pf; when row k has no nonzero entry left, Pf = 0.
     For dimensions up to 8 the result is cross-checked against the direct
     perfect-matching sum, and a disagreement raises InternalConsistencyError.
     """
@@ -217,25 +199,7 @@ def pfaffian(m: MatrixLike) -> Rational:
         return 1
 
     scale = math.lcm(*(x.denominator for row in rows for x in row))
-    work = [[int(x * scale) for x in row] for row in rows]
-    d = det(work)
-    value = 0
-    if d:
-        root = math.isqrt(max(d, 0))
-        if root * root != d:
-            raise InternalConsistencyError(
-                f"determinant {d} of a skew-symmetric matrix is not a square"
-            )
-        p = next(q for q in _sign_primes() if root % q)
-        residue = _pfaffian_mod(work, p)
-        if residue == root % p:
-            value = root
-        elif residue == -root % p:
-            value = -root
-        else:
-            raise InternalConsistencyError(
-                f"Pf mod {p} is {residue}, neither +sqrt(det) nor -sqrt(det)"
-            )
+    value = _skew_eliminate([[int(x * scale) for x in row] for row in rows])
     result = value if scale == 1 else Fraction(value, scale ** (n // 2))
     if n <= _PFAFFIAN_CHECK_DIM:
         if result != _pfaffian_matching_sum(rows):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, SingularParameterError
+from .errors import InternalConsistencyError, InvalidInputError, SingularParameterError
 
 Rational = int | Fraction
 
@@ -40,7 +40,8 @@ def binom(n: int, k: int) -> int:
     for t in range(k):
         num *= n - t
     q, r = divmod(num, math.factorial(k))
-    assert r == 0
+    if r:
+        raise InternalConsistencyError(f"{k}! does not divide the falling factorial of {n}")
     return q
 
 
@@ -66,7 +67,8 @@ def macmahon_box(a: int, b: int, c: int) -> int:
     value = Fraction(1)
     for i in range(1, a + 1):
         value *= Fraction(shifted_factorial(c + i, b), shifted_factorial(i, b))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InternalConsistencyError(f"box product for {a}x{b}x{c} is not an integer")
     return int(value)
 
 

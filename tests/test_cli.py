@@ -1,7 +1,7 @@
 import json
 from dataclasses import replace
 
-from ppsign import cli, exactalg, paths
+from ppsign import cli, core, exactalg, paths
 from ppsign.errors import InternalConsistencyError
 
 
@@ -323,6 +323,13 @@ def test_internal_failure_in_a_route_exits_one(capsys, monkeypatch):
     assert "cross-check" in err
     code, out, err = run_cli(capsys, "enumerate", "--class", "stc", "--a", "7", "--b", "3",
                              "--method", "lgv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    # the oracle's reference member re-checks itself
+    monkeypatch.setattr(core, "satisfies", lambda pp, cls: False)
+    code, out, err = run_cli(capsys, "enumerate", "--class", "tc", "--a", "2", "--b", "1",
+                             "--method", "oracle")
     assert code == 1
     assert out == ""
     assert err.startswith("error:")

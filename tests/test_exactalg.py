@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ppsign import exactalg
 from ppsign.errors import (
     DimensionError,
-    InternalConsistencyError,
     InvalidInputError,
     ResourceLimitError,
 )
@@ -154,14 +153,25 @@ def test_pfaffian_zero_row_short_circuits():
     assert exactalg.pfaffian(m) == 0
 
 
+def _sparse_skew_matrices(seed):
+    """Skew matrices of dimension 10..20 with entries in -1..1.  Zero pivots
+    after the first step are common there (19 of these 24 draws swap one),
+    where draws from -9..9 almost never need a swap past step 0."""
+    rng = random.Random(seed)
+    for _ in range(4):
+        for n in range(10, 21, 2):
+            yield rand_skew(rng, n, -1, 1)
+
+
 def test_pfaffian_squared_is_det_quick():
     rng = random.Random(9)
-    for _ in range(60):
-        n = rng.choice([2, 4, 6, 8, 10, 12])
-        m = rand_skew(rng, n)
-        # Pf^2 = det holds by construction; the elimination checks value
-        # and sign independently
-        assert exactalg.pfaffian(m) == pfaffian_fraction_elimination(m)
+    dense = [rand_skew(rng, rng.choice([2, 4, 6, 8, 10, 12])) for _ in range(60)]
+    for m in dense + list(_sparse_skew_matrices(10)):
+        pf = exactalg.pfaffian(m)
+        # the reference elimination checks value and sign; Pf^2 = det
+        # checks the value against the Bareiss determinant
+        assert pf == pfaffian_fraction_elimination(m)
+        assert pf * pf == exactalg.det(m)
 
 
 def rand_rational_skew(rng, n):
@@ -228,13 +238,11 @@ def test_pfaffian_singular_without_zero_row():
 
 
 def test_pfaffian_sign_falls_back_past_dividing_primes():
-    primes = exactalg._sign_primes()
-    assert [next(primes) for _ in range(8)] == [3, 5, 7, 11, 13, 17, 19, 23]
     rng = random.Random(26)
     for n in (10, 16, 20):
         rest = rand_skew(rng, n - 2)
         assert exactalg.pfaffian(rest) != 0
-        # |Pf| divisible by the first sign prime, then by the first five
+        # block-diagonal value and sign pins: |Pf| divisible by 3, then by 3·5·7·11·13
         for entry in (3, -3, 3 * 5 * 7 * 11 * 13, -3 * 5 * 7 * 11 * 13):
             m = [[0, entry] + [0] * (n - 2), [-entry, 0] + [0] * (n - 2)]
             m += [[0, 0] + row for row in rest]
@@ -242,12 +250,6 @@ def test_pfaffian_sign_falls_back_past_dividing_primes():
             assert pf % entry == 0
             assert pf == pfaffian_fraction_elimination(m) == entry * exactalg.pfaffian(rest)
             assert exactalg.pfaffian(_swap01(m)) == -pf
-
-
-def test_pfaffian_rejects_non_square_determinant(monkeypatch):
-    monkeypatch.setattr(exactalg, "det", lambda m: 2)
-    with pytest.raises(InternalConsistencyError):
-        exactalg.pfaffian(rand_skew(random.Random(27), 10))
 
 
 def test_sum_of_minors_trivial_and_budget():
