@@ -11,12 +11,10 @@ from .core import (
     OrbitDecomposition,
     PlanePartition,
     SymmetryClass,
-    is_valid_pp,
     orbit_decomposition,
     reference_partition,
     region_count,
     satisfies,
-    sign_weight,
 )
 from .oracle import (
     SignedCount,
@@ -51,7 +49,6 @@ __all__ = [
     "count_vsasm",
     "enumerate_class",
     "hyper_terminating",
-    "is_valid_pp",
     "macmahon_box",
     "orbit_decomposition",
     "pfaff_saalschutz_rhs",
@@ -60,7 +57,6 @@ __all__ = [
     "region_count",
     "satisfies",
     "shifted_factorial",
-    "sign_weight",
     "signed_count",
     "weighted_count",
 ]

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
-    DimensionError,
     InternalConsistencyError,
     InvalidInputError,
     ShapeError,
@@ -152,24 +151,6 @@ class PlanePartition:
 
     def size(self) -> int:
         return sum(sum(row) for row in self.heights)
-
-
-def is_valid_pp(heights: Sequence[Sequence[int]], box: BoxDims) -> bool:
-    """True iff the matrix is a x b, weakly decreasing both ways, entries in [0, c]."""
-    rows = [tuple(r) for r in heights]
-    if len(rows) != box.a or any(len(r) != box.b for r in rows):
-        raise DimensionError(
-            f"height matrix must be {box.a} x {box.b}, got {len(rows)} rows"
-        )
-    for i, row in enumerate(rows):
-        for j, h in enumerate(row):
-            if not 0 <= h <= box.c:
-                return False
-            if j + 1 < box.b and h < row[j + 1]:
-                return False
-            if i + 1 < box.a and h < rows[i + 1][j]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +350,6 @@ def reference_partition(box: BoxDims, cls: SymmetryClass) -> PlanePartition:
     if not satisfies(pp, cls):
         raise InternalConsistencyError(f"reference partition is not a {cls.value} member")
     return pp
-
-
-def orbit_difference(
-    pp: PlanePartition, cls: SymmetryClass, reference: PlanePartition | None = None
-) -> int:
-    """Number of orbits whose half chosen by pp differs from the reference."""
-    if reference is None:
-        reference = reference_partition(pp.box, cls)
-    decomposition = orbit_decomposition(pp.box, cls)
-    differing = 0
-    for orbit in decomposition.orbits:
-        rep = next(iter(orbit.half_a))
-        if pp.contains(rep) != reference.contains(rep):
-            differing += 1
-    return differing
-
-
-def sign_weight(
-    pp: PlanePartition, cls: SymmetryClass, reference: PlanePartition | None = None
-) -> int:
-    """(-1)^d with d the orbit difference from the reference partition."""
-    if not satisfies(pp, cls):
-        raise InvalidInputError("plane partition does not satisfy the class predicate")
-    return -1 if orbit_difference(pp, cls, reference) % 2 else 1
 
 
 def region_count(pp: PlanePartition, cls: SymmetryClass) -> int:

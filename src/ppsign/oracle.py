@@ -4,10 +4,13 @@ signed/weighted summation.
 This is the ground truth the determinant/Pfaffian pipelines and the
 closed-form evaluators are tested against: backtracking over height-matrix
 entries in row-major order with monotonicity bounds, symmetry constraints
-applied as forced values or lower bounds on not-yet-assigned entries, and
-the full class predicate on every leaf.  The rules are compiled once per
-walk into flat-list indices; tests/oracles.py keeps the walk that reads
-them off a matrix of rows at every node as the reference.
+applied as forced values or bounds on not-yet-assigned entries, and the
+full class predicate on every leaf.  The rules are compiled once per walk
+into flat-list indices, and each is decided at the choice cell that fixes
+its last unknown rather than at the forced cell it constrains (forward
+checking).  tests/oracles.py keeps the unpruned walk that reads the rules
+off a matrix of rows at every node as the reference: the same members in
+the same order, in no more nodes.
 """
 
 from __future__ import annotations
@@ -71,27 +74,30 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
     """Yield every member as one reused row-major height list, lexicographically.
 
     A node is one value tried at one cell; every cell's candidates form an
-    interval [lo, hi].  A choice cell keeps its hi on the explicit stack
-    while h holds its current value.  A forced cell (at most one candidate)
-    is settled inline on the way down, and an exhausted cell backs up
-    straight to back[idx], the last earlier choice cell, since every forced
-    cell in between has no second value.  Each leaf gets the full class
-    predicate.
+    interval [lo, hi] cut from [0, c] by its bounds and counts (see
+    _compile).  A choice cell keeps its hi on the explicit stack while h
+    holds its current value.  A forced cell (at most one candidate) is
+    settled inline on the way down, and one whose every rule was moved to
+    its root just copies offset + factor * h[root].  An exhausted cell
+    backs up straight to back[idx], the last earlier choice cell, since
+    every forced cell in between has no second value.  Each leaf gets the
+    full class predicate.
     """
     core.check_box_shape(box, cls)
     n = box.a * box.b
-    h = [0] * n + [box.c]  # h[n] is the sentinel c: the bound above row 0 and left of column 0
+    c = box.c
+    h = [0] * n + [c]  # h[n] is the sentinel c
     if n == 0:
         if core.satisfies_flat(h, box, cls):
             yield h
         return
     plan = _compile(box, cls)
     if plan is None:
-        return  # class empty for parity reasons (self-paired cell, odd height)
+        return  # class empty: a self-paired cell at odd height, or a contradiction
 
     back = []
     choice = -1
-    for idx, (_, _, _, _, _, forced) in enumerate(plan):
+    for idx, (_, _, _, _, forced) in enumerate(plan):
         back.append(choice)
         if not forced:
             choice = idx
@@ -100,27 +106,28 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
     nodes = 0
     idx = 0
     while True:
-        up, left, sources, counts, single, forced = plan[idx]
-        hi = h[up]
-        if h[left] < hi:
-            hi = h[left]
+        lows, highs, counts, single, forced = plan[idx]
         if single:
             offset, factor, index = single
-            lo = offset + factor * h[index]  # h[index], c - h[index] or c // 2: never below 0
+            lo = hi = offset + factor * h[index]
         else:
             lo = 0
-            for offset, factor, index in sources:
+            hi = c
+            for offset, factor, index in lows:
                 v = offset + factor * h[index]
                 if v > lo:
                     lo = v
+            for offset, factor, index in highs:
+                v = offset + factor * h[index]
                 if v < hi:
                     hi = v
-            for start, stop, step, t, free_size in counts:
+            for start, stop, step, t, free_size, offset, factor in counts:
                 m = sum(map(t.__le__, h[start:stop:step]))
-                if m > lo:
-                    lo = m
-                if m != free_size and m < hi:
-                    hi = m
+                v = offset + factor * m
+                if v > lo and (factor > 0 or m != free_size):
+                    lo = v
+                if v < hi and (factor < 0 or m != free_size):
+                    hi = v
         if forced:
             if lo <= hi:  # the one candidate
                 h[idx] = lo
@@ -164,27 +171,70 @@ def _budget_error(node_budget: int, cls: SymmetryClass, box: BoxDims) -> Resourc
 
 
 def _compile(box: BoxDims, cls: SymmetryClass):
-    """Per cell (up, left, sources, counts, single, forced), row-major; None
-    if the class is empty.
+    """Per cell (lows, highs, counts, single, forced), row-major; None if
+    the class is empty.
 
-    up and left are the flat indices of the neighbours, or n (the sentinel)
-    at an edge.  A source (offset, factor, index) forces the cell to
-    offset + factor * h[index].  A count (start, stop, step, t, free_size)
-    is the cyclic rule h[i][j] >= r+1 iff h[r][i] >= j+1 against the
-    assigned partner cells h[start:stop:step]: m of them are >= t, and the
-    cell equals m unless m == free_size, which only bounds it below by m.
-    A cell with a source, or with a count over a complete row (free_size
-    -1), is forced: it has at most one candidate.  single is the source of
-    a cell whose one rule is that source, else None.
+    A cell's rules: it is at most the cell above and the cell to its left
+    (the sentinel h[n] = c at an edge); a source forces it to equal its
+    earlier mirror cell under symmetry, or c minus its earlier partner
+    under complementation (c // 2 if it is its own partner); and the
+    cyclic rule h[i][j] >= r+1 iff h[r][i] >= j+1 gives a count (start,
+    stop, step, t, free_size) over the assigned partner cells
+    h[start:stop:step]: m of them are >= t, and the cell equals m unless
+    m == free_size, which only bounds it below by m.
+
+    Through its first source every cell is offset + factor * h[root], for a
+    root that is an unsourced cell or the sentinel (factor 0).  Each rule
+    moves onto the later root it involves, the first cell where it can be
+    decided (forward checking: Haralick and Elliott, Artificial
+    Intelligence 14, 1980).  The up and left rules and every further source
+    become bounds (offset, factor, index) in lows or highs, capping the
+    root's interval at offset + factor * h[index] from below or above.  A
+    count whose cells all come before the cell's root becomes (start, stop,
+    step, t, free_size, offset, factor): the bound offset + factor * m from
+    below if factor > 0, from above if factor < 0, and on both sides unless
+    m == free_size.  A count past the root stays on its cell, next to the
+    cell's own value as a bound on both sides.  A cell that is not a root,
+    or a root with a count over a complete row (free_size -1), is forced:
+    it has at most one candidate.  A forced cell left with no rule is
+    single, its own value (offset, factor, root), and is not checked.
     """
     a, b, c = box.a, box.b, box.c
     n = a * b
-    plan = []
+    exprs = []  # exprs[idx] = (offset, factor, root): h[idx] == offset + factor * h[root]
+    lows = [{} for _ in range(n)]  # lows[root][(factor, index)]: the largest offset
+    highs = [{} for _ in range(n)]  # highs[root][(factor, index)]: the smallest offset
+    counts = [[] for _ in range(n)]
+
+    def expr(index):
+        return exprs[index] if index < n else (c, 0, n)
+
+    def require(low, high):
+        """Bound the later root so that low <= high; False if that never holds."""
+        const = high[0] - low[0]  # need const + sum(terms[r] * h[r]) >= 0
+        terms = {}
+        for sign, (_, factor, root) in ((-1, low), (1, high)):
+            terms[root] = terms.get(root, 0) + sign * factor
+        terms = {root: f for root, f in terms.items() if f}
+        if not terms:
+            return const >= 0
+        root = max(terms)
+        f = terms.pop(root)  # +-1, or +-2 when both sides share the root
+        index, e = terms.popitem() if terms else (n, 0)
+        if f > 0:  # h[root] >= -(const + e * h[index]) / f
+            bounds, key, offset = lows[root], (-e, index), -(const // f)
+            bounds[key] = max(bounds.get(key, offset), offset)
+        else:  # h[root] <= (const + e * h[index]) / -f
+            bounds, key, offset = highs[root], (e, index), const // -f
+            bounds[key] = min(bounds.get(key, offset), offset)
+        return True
+
     for i in range(a):
         for j in range(b):
-            sources = []
+            idx = i * b + j
+            values = []  # what each source makes the cell, through the source's root
             if cls.is_symmetric and i > j:
-                sources.append((0, 1, j * b + i))
+                values.append(expr(j * b + i))
             if cls in core._POINT_COMPLEMENT:
                 partner = (a - 1 - i, b - 1 - j)
             elif cls in core._TRANSPOSE_COMPLEMENT:
@@ -194,26 +244,49 @@ def _compile(box: BoxDims, cls: SymmetryClass):
             if partner == (i, j):
                 if c % 2 != 0:
                     return None
-                sources.append((c // 2, 0, n))
+                values.append((c // 2, 0, n))
             elif partner is not None and partner < (i, j):
-                sources.append((c, -1, partner[0] * b + partner[1]))
-            counts = []
+                o, f, root = expr(partner[0] * b + partner[1])
+                values.append((c - o, -f, root))
+            cell_counts = []
             if cls.is_cyclic and i > 0:
                 if j < i:
                     # row j is complete: it fixes the value
-                    counts.append((j * b, j * b + b, 1, i + 1, -1))
+                    cell_counts.append((j * b, j * b + b, 1, i + 1, -1))
                 else:
                     # column i down to row i - 1, or to the diagonal when j > i
                     rows = i + 1 if j > i else i
-                    counts.append((i, i + rows * b, b, j + 1, rows))
+                    cell_counts.append((i, i + rows * b, b, j + 1, rows))
                     if j == i:
                         # own row: h[i][i] >= k+1 iff h[i][k] >= i+1
-                        counts.append((i * b, i * b + i, 1, i + 1, i))
+                        cell_counts.append((i * b, i * b + i, 1, i + 1, i))
+            own = values[0] if values else (0, 1, idx)
+            exprs.append(own)
             up = (i - 1) * b + j if i else n
             left = i * b + j - 1 if j else n
-            single = sources[0] if len(sources) == 1 and not counts else None
-            forced = bool(sources) or any(count[4] == -1 for count in counts)
-            plan.append((up, left, tuple(sources), tuple(counts), single, forced))
+            rules = [(own, expr(up)), (own, expr(left))]
+            rules += [pair for value in values[1:] for pair in ((own, value), (value, own))]
+            if not all(require(low, high) for low, high in rules):
+                return None
+            offset, factor, root = own
+            for start, stop, step, t, free_size in cell_counts:
+                if factor and stop - step < root:  # stop - step: the last cell counted
+                    # h[root] = factor * (value - offset): m bounds it at factor * (m - offset)
+                    counts[root].append((start, stop, step, t, free_size, -factor * offset, factor))
+                else:
+                    counts[idx].append((start, stop, step, t, free_size, 0, 1))
+
+    plan = []
+    for idx, own in enumerate(exprs):
+        if own[2] == idx:  # a root: the moved rules, its own among them
+            low = tuple((o, f, k) for (f, k), o in lows[idx].items() if f or o > 0)
+            high = tuple((o, f, k) for (f, k), o in highs[idx].items() if f or o < c)
+            forced = any(count[4] == -1 for count in counts[idx])
+            plan.append((low, high, tuple(counts[idx]), None, forced))
+        elif counts[idx]:  # a count past the root stays, next to the cell's own value
+            plan.append(((own,), (own,), tuple(counts[idx]), None, True))
+        else:
+            plan.append(((), (), (), own, True))
     return plan
 
 
@@ -222,7 +295,8 @@ def signed_count(
     cls: SymmetryClass,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SignedCount:
-    """Sum of sign_weight over every class member in the box."""
+    """Sum of the orbit sign (-1)^d over every class member in the box, d the
+    number of orbits on which the member and the sign reference differ."""
     if not cls.has_complementation:
         raise UnsupportedClassError(
             f"signed counting needs a complementation class, not {cls.value}"

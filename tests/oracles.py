@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Sequence
 
 from ppsign import core
 from ppsign.core import BoxDims, PlanePartition, SymmetryClass
+from ppsign.errors import DimensionError, InvalidInputError
 
 Cell = tuple[int, int, int]
 Point = tuple[int, int]
@@ -113,6 +115,51 @@ def cellset_to_pp(cells: frozenset[Cell], box: BoxDims) -> PlanePartition | None
             if i + 1 < box.a and rows[i][j] < rows[i + 1][j]:
                 return None
     return PlanePartition(box, rows)
+
+
+# ---------------------------------------------------------------------------
+# one member at a time: validity and the orbit sign
+
+
+def is_valid_pp(heights: Sequence[Sequence[int]], box: BoxDims) -> bool:
+    """True iff the matrix is a x b, weakly decreasing both ways, entries in [0, c]."""
+    rows = [tuple(r) for r in heights]
+    if len(rows) != box.a or any(len(r) != box.b for r in rows):
+        raise DimensionError(
+            f"height matrix must be {box.a} x {box.b}, got {len(rows)} rows"
+        )
+    for i, row in enumerate(rows):
+        for j, h in enumerate(row):
+            if not 0 <= h <= box.c:
+                return False
+            if j + 1 < box.b and h < row[j + 1]:
+                return False
+            if i + 1 < box.a and h < rows[i + 1][j]:
+                return False
+    return True
+
+
+def orbit_difference(
+    pp: PlanePartition, cls: SymmetryClass, reference: PlanePartition | None = None
+) -> int:
+    """Number of orbits whose half chosen by pp differs from the reference."""
+    if reference is None:
+        reference = core.reference_partition(pp.box, cls)
+    differing = 0
+    for orbit in core.orbit_decomposition(pp.box, cls).orbits:
+        rep = next(iter(orbit.half_a))
+        if pp.contains(rep) != reference.contains(rep):
+            differing += 1
+    return differing
+
+
+def sign_weight(
+    pp: PlanePartition, cls: SymmetryClass, reference: PlanePartition | None = None
+) -> int:
+    """(-1)^d with d the orbit difference from the reference partition."""
+    if not core.satisfies(pp, cls):
+        raise InvalidInputError("plane partition does not satisfy the class predicate")
+    return -1 if orbit_difference(pp, cls, reference) % 2 else 1
 
 
 # ---------------------------------------------------------------------------

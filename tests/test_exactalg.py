@@ -237,7 +237,7 @@ def test_pfaffian_singular_without_zero_row():
         assert exactalg.pfaffian([[Fraction(x, 3) for x in row] for row in m]) == 0
 
 
-def test_pfaffian_sign_falls_back_past_dividing_primes():
+def test_pfaffian_of_block_diagonal_is_block_product_with_sign():
     rng = random.Random(26)
     for n in (10, 16, 20):
         rest = rand_skew(rng, n - 2)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -61,48 +61,89 @@ def small_boxes(cls):
         except ShapeError:
             continue
         yield box
+    # a side of 5 or 6 at small volume: rows and columns longer than above,
+    # of both parities
+    for sides in WIDE_BOXES.get(cls, ()):
+        yield BoxDims(*sides)
+
+
+WIDE_BOXES = {
+    SC.SC: [(5, 2, 3), (2, 5, 3), (3, 2, 5), (6, 3, 2), (2, 6, 3), (3, 3, 6), (5, 4, 2)],
+    SC.TC: [(5, 5, 2), (6, 6, 2)],
+}
 
 
 @pytest.mark.parametrize("cls", list(SC))
 def test_walk_matches_row_reference(cls):
-    # zero sides, odd heights and the classes a parity makes empty included
+    # zero sides, odd heights and the classes a parity makes empty included;
+    # the walk decides each rule no later than the reference does, so it
+    # finishes on the reference's node count
     for box in small_boxes(cls):
         members, nodes = enumerate_class_rows(box, cls)
-        assert heights_list(box, cls) == members, box
-        assert visits_exactly(box, cls, nodes), box
+        walked = [pp.heights for pp in oracle.enumerate_class(box, cls, node_budget=nodes)]
+        assert walked == members, box
 
 
-@pytest.mark.parametrize("cls, box, nodes", [
-    (SC.TC, (4, 4, 4), 1_062),
-    (SC.STC, (5, 5, 4), 1_229),
-    (SC.SC, (4, 4, 4), 7_651),
-    (SC.CSTC, (4, 4, 4), 117),
-    (SC.CSSC, (4, 4, 4), 682),
-    (SC.TSSC, (4, 4, 4), 449),
-    (SC.CYCLIC, (4, 4, 4), 1_999),
-    (SC.PLAIN, (3, 3, 3), 2_674),
-    (SC.SYMMETRIC, (4, 4, 4), 15_827),
-    (SC.TOTALLY_SYMMETRIC, (4, 4, 4), 1_008),
-])
-def test_walk_node_counts_are_pinned(cls, box, nodes):
+def pin_ids(pins):
+    return [f"{cls}-box{k}-{reference}" for k, (cls, _, reference, _) in enumerate(pins)]
+
+
+# (class, box, nodes of the row reference, nodes of the walk)
+NODE_PINS = [
+    (SC.TC, (4, 4, 4), 1_062, 877),
+    (SC.STC, (5, 5, 4), 1_229, 1_063),
+    (SC.SC, (4, 4, 4), 7_651, 5_007),
+    (SC.CSTC, (4, 4, 4), 117, 86),
+    (SC.CSSC, (4, 4, 4), 682, 432),
+    (SC.TSSC, (4, 4, 4), 449, 104),
+    (SC.CYCLIC, (4, 4, 4), 1_999, 1_999),
+    (SC.PLAIN, (3, 3, 3), 2_674, 2_674),
+    (SC.SYMMETRIC, (4, 4, 4), 15_827, 15_827),
+    (SC.TOTALLY_SYMMETRIC, (4, 4, 4), 1_008, 1_008),
+]
+
+
+@pytest.mark.parametrize("cls, box, reference, nodes", NODE_PINS, ids=pin_ids(NODE_PINS))
+def test_walk_node_counts_are_pinned(cls, box, reference, nodes):
     box = BoxDims(*box)
-    assert enumerate_class_rows(box, cls)[1] == nodes
+    assert enumerate_class_rows(box, cls)[1] == reference
     assert visits_exactly(box, cls, nodes)
 
 
-@pytest.mark.parametrize("cls, box, nodes", [
-    (SC.TC, (6, 6, 4), 95_410),
-    (SC.STC, (7, 7, 4), 21_482),
-    (SC.SC, (6, 4, 4), 102_630),
-    (SC.SC, (4, 5, 5), 78_505),
-    (SC.CSTC, (6, 6, 6), 3_653),
-    (SC.CSSC, (6, 6, 6), 144_567),
-    (SC.TSSC, (6, 6, 6), 47_828),
-])
-def test_walk_node_counts_at_benchmark_scale(cls, box, nodes):
-    # the boxes the benchmark times, where backtracking crosses long runs of
-    # forced cells
-    assert visits_exactly(BoxDims(*box), cls, nodes)
+BENCHMARK_PINS = [
+    (SC.TC, (6, 6, 4), 95_410, 80_164),
+    (SC.STC, (7, 7, 4), 21_482, 18_912),
+    (SC.SC, (6, 4, 4), 102_630, 59_103),
+    (SC.SC, (4, 5, 5), 78_505, 35_310),
+    (SC.CSTC, (6, 6, 6), 3_653, 2_705),
+    (SC.CSSC, (6, 6, 6), 144_567, 35_805),
+    (SC.TSSC, (6, 6, 6), 47_828, 2_598),
+]
+
+
+@pytest.mark.parametrize("cls, box, reference, nodes", BENCHMARK_PINS, ids=pin_ids(BENCHMARK_PINS))
+def test_walk_node_counts_at_benchmark_scale(cls, box, reference, nodes):
+    # the boxes the benchmark times; the reference checks each forced cell
+    # when it reaches it, the walk on the choice cell that fixes it
+    box = BoxDims(*box)
+    members, reference_nodes = enumerate_class_rows(box, cls)
+    assert reference_nodes == reference
+    assert heights_list(box, cls) == members
+    assert visits_exactly(box, cls, nodes)
+
+
+def test_sc_count_is_invariant_under_side_permutation():
+    # the SC condition treats the three axes alike, so |count| depends on
+    # the sides alone, not their order; the walk moves rules onto roots by
+    # orientation and parity, and a slip there would break the symmetry
+    for sides in combinations_with_replacement(range(11), 3):
+        if sides[0] * sides[1] * sides[2] > 120:
+            continue
+        counts = {
+            abs(oracle.signed_count(BoxDims(*box), SC.SC).value)
+            for box in set(permutations(sides))
+        }
+        assert len(counts) == 1, sides
 
 
 def test_deep_box_walk_needs_no_recursion():
