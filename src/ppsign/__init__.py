@@ -10,6 +10,7 @@ from .core import (
     Orbit,
     OrbitDecomposition,
     PlanePartition,
+    SignedCount,
     SymmetryClass,
     orbit_decomposition,
     reference_partition,
@@ -17,7 +18,6 @@ from .core import (
     satisfies,
 )
 from .oracle import (
-    SignedCount,
     WeightKind,
     WeightTag,
     count_vsasm,

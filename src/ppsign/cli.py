@@ -23,7 +23,7 @@ from itertools import combinations, product
 from typing import Callable
 
 from . import exactalg, formulas, oracle, paths, qseries
-from .core import BoxDims, SymmetryClass
+from .core import BoxDims, SignedCount, SymmetryClass
 from .errors import (
     DimensionError,
     DomainError,
@@ -33,7 +33,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedClassError,
 )
-from .oracle import SignedCount, WeightKind, WeightTag
+from .oracle import WeightKind, WeightTag
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -198,7 +198,7 @@ _SPECS = {
     ),
     "cssc": ClassSpec(
         SymmetryClass.CSSC, *_CUBES, ("oracle", ORBIT_WEIGHT, "formula"),
-        formula=lambda *p: formulas.thm7_csscpp(*p)[0],
+        formula=lambda *p: formulas.thm7_csscpp(*p),
         convention="absolute (sign conjectured +1)", compare=ABSOLUTE,
     ),
 }

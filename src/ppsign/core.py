@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
+from operator import ge
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -48,88 +50,66 @@ class BoxDims:
 
 
 class SymmetryClass(Enum):
-    PLAIN = "plain"
-    SYMMETRIC = "symmetric"
-    CYCLIC = "cyclic"
-    TOTALLY_SYMMETRIC = "totally-symmetric"
-    SC = "sc"
-    TC = "tc"
-    STC = "stc"
-    CSTC = "cstc"
-    CSSC = "cssc"
-    TSSC = "tssc"
+    """A symmetry class, declared by its traits (Kuperberg, math.CO/9810091).
+
+    ``is_symmetric``: members are invariant under transposition i <-> j.
+    ``is_cyclic``: members are invariant under the rotation (i, j, k) ->
+    (j, k, i).  ``complement``: the map that sends a member onto its
+    complement, "point" through the box centre, "transpose" through the
+    centre with i <-> j, or None for a class without complementation.
+    """
+
+    PLAIN = "plain", False, False, None
+    SYMMETRIC = "symmetric", True, False, None
+    CYCLIC = "cyclic", False, True, None
+    TOTALLY_SYMMETRIC = "totally-symmetric", True, True, None
+    SC = "sc", False, False, "point"
+    TC = "tc", False, False, "transpose"
+    STC = "stc", True, False, "transpose"
+    CSTC = "cstc", False, True, "transpose"
+    CSSC = "cssc", False, True, "point"
+    TSSC = "tssc", True, True, "point"
+
+    def __new__(cls, value: str, is_symmetric: bool, is_cyclic: bool,
+                complement: str | None) -> SymmetryClass:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.is_symmetric = is_symmetric
+        member.is_cyclic = is_cyclic
+        member.complement = complement
+        return member
 
     @property
     def has_complementation(self) -> bool:
-        return self in _COMPLEMENTATION_CLASSES
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self in _SYMMETRIC_CLASSES
-
-    @property
-    def is_cyclic(self) -> bool:
-        return self in _CYCLIC_CLASSES
+        return self.complement is not None
 
 
-_SYMMETRIC_CLASSES = frozenset(
-    {
-        SymmetryClass.SYMMETRIC,
-        SymmetryClass.TOTALLY_SYMMETRIC,
-        SymmetryClass.STC,
-        SymmetryClass.TSSC,
-    }
-)
-_CYCLIC_CLASSES = frozenset(
-    {
-        SymmetryClass.CYCLIC,
-        SymmetryClass.TOTALLY_SYMMETRIC,
-        SymmetryClass.CSTC,
-        SymmetryClass.CSSC,
-        SymmetryClass.TSSC,
-    }
-)
-_COMPLEMENTATION_CLASSES = frozenset(
-    {
-        SymmetryClass.SC,
-        SymmetryClass.TC,
-        SymmetryClass.STC,
-        SymmetryClass.CSTC,
-        SymmetryClass.CSSC,
-        SymmetryClass.TSSC,
-    }
-)
+@dataclass(frozen=True)
+class SignedCount:
+    """An exact signed enumeration and the sign reference it is relative to."""
 
-# classes whose complementation component reflects through the box center
-_POINT_COMPLEMENT = frozenset(
-    {SymmetryClass.SC, SymmetryClass.CSSC, SymmetryClass.TSSC}
-)
-# classes whose complementation component also transposes (i <-> j)
-_TRANSPOSE_COMPLEMENT = frozenset(
-    {SymmetryClass.TC, SymmetryClass.STC, SymmetryClass.CSTC}
-)
+    value: int
+    sign_convention: str
 
 
 def check_box_shape(box: BoxDims, cls: SymmetryClass) -> None:
-    """Raise ShapeError unless the box can hold members of the class."""
+    """Raise ShapeError unless the box can hold members of the class.
+
+    Rotation needs a cube, with even sides if a complementation comes too.
+    Otherwise transposition needs a square base, and the transpose
+    complement also an even height.
+    """
     a, b, c = box.a, box.b, box.c
-    if cls in (SymmetryClass.SYMMETRIC, SymmetryClass.TC, SymmetryClass.STC):
-        if a != b:
-            raise ShapeError(f"{cls.value} needs a square base, got {box}")
-    if cls in (
-        SymmetryClass.CYCLIC,
-        SymmetryClass.TOTALLY_SYMMETRIC,
-        SymmetryClass.CSTC,
-        SymmetryClass.CSSC,
-        SymmetryClass.TSSC,
-    ):
+    if cls.is_cyclic:
         if not (a == b == c):
             raise ShapeError(f"{cls.value} needs a cubical box, got {box}")
-    if cls in (SymmetryClass.TC, SymmetryClass.STC) and c % 2 != 0:
-        raise ShapeError(f"{cls.value} needs an even height, got {box}")
-    if cls in (SymmetryClass.CSTC, SymmetryClass.CSSC, SymmetryClass.TSSC):
-        if a % 2 != 0:
+        if cls.has_complementation and a % 2 != 0:
             raise ShapeError(f"{cls.value} needs even sides, got {box}")
+    elif cls.is_symmetric or cls.complement == "transpose":
+        if a != b:
+            raise ShapeError(f"{cls.value} needs a square base, got {box}")
+        if cls.complement == "transpose" and c % 2 != 0:
+            raise ShapeError(f"{cls.value} needs an even height, got {box}")
 
 
 @dataclass(frozen=True)
@@ -183,23 +163,32 @@ def _maps_for(box: BoxDims, cls: SymmetryClass) -> tuple[
         i, j, k = cell
         return (a + 1 - j, a + 1 - i, c + 1 - k)
 
-    sym: list[Callable[[Cell], Cell]] = []
-    if cls.is_symmetric:
-        sym.append(tau)
-    if cls.is_cyclic:
-        sym.extend([rho, rho2])
-    anti: list[Callable[[Cell], Cell]] = []
-    if cls in _POINT_COMPLEMENT:
-        anti.append(kappa)
-    elif cls in _TRANSPOSE_COMPLEMENT:
-        anti.append(taukappa)
-    return tuple(sym), tuple(anti)
+    sym = ((tau,) if cls.is_symmetric else ()) + ((rho, rho2) if cls.is_cyclic else ())
+    anti = {"point": (kappa,), "transpose": (taukappa,), None: ()}[cls.complement]
+    return sym, anti
 
 
 def satisfies(pp: PlanePartition, cls: SymmetryClass) -> bool:
-    """Check every membership condition of the class for every cell."""
-    check_box_shape(pp.box, cls)
-    return satisfies_flat([v for row in pp.heights for v in row], pp.box, cls)
+    """Whether pp is a plane partition in its box and a member of the class.
+
+    Raises ShapeError if the box cannot hold the class or the heights are
+    not an a x b matrix.  Entries must lie in [0, c] and weakly decrease
+    along rows and columns; then every class condition is checked.
+    """
+    box = pp.box
+    check_box_shape(box, cls)
+    rows = pp.heights
+    h = list(chain.from_iterable(rows))
+    by_columns = list(chain.from_iterable(zip(*rows)))
+    # zip stops at the shortest row, so the sizes agree only for a x b rows
+    if not (len(rows) == box.a and len(h) == len(by_columns) == box.a * box.b):
+        raise ShapeError(f"heights in {box} must form an {box.a} x {box.b} matrix")
+    # each entry is at least the one below it, and the one to its right
+    if not (all(map(ge, h, h[box.b:])) and all(map(ge, by_columns, by_columns[box.a:]))):
+        return False
+    if h and (h[0] > box.c or h[-1] < 0):  # the largest and the smallest entry
+        return False
+    return satisfies_flat(h, box, cls)
 
 
 def satisfies_flat(h: Sequence[int], box: BoxDims, cls: SymmetryClass) -> bool:
@@ -223,12 +212,12 @@ def satisfies_flat(h: Sequence[int], box: BoxDims, cls: SymmetryClass) -> bool:
             row = h[j * a:(j + 1) * a]
             if h[j:n:a] != [sum(1 for v in row if v > i) for i in range(a)]:
                 return False
-    if cls in _POINT_COMPLEMENT:
+    if cls.complement == "point":
         # (i, j) and (a-1-i, b-1-j) sit at flat indices k and n-1-k
         flat = h[:n]
         if flat != [c - v for v in reversed(flat)]:
             return False
-    elif cls in _TRANSPOSE_COMPLEMENT:
+    elif cls.complement == "transpose":
         # (i, j) and (a-1-j, a-1-i) sit at flat indices k = i*a+j and
         # n-1-(j*a+i), so row i pairs with column i of the reversed list
         rev = h[n - 1::-1] if n else []
@@ -321,14 +310,15 @@ def orbit_decomposition(box: BoxDims, cls: SymmetryClass) -> OrbitDecomposition:
 def reference_partition(box: BoxDims, cls: SymmetryClass) -> PlanePartition:
     """The class member assigned weight +1.
 
-    TC/STC/SC use the half-full partition {k <= c/2}; the triple classes
-    TSSC/CSSC/CSTC use the majority partition {>= 2 coordinates <= a/2}.
+    The classes without rotation (TC, STC, SC) use the half-full partition
+    {k <= c/2}; the cyclic ones (CSTC, CSSC, TSSC) use the majority
+    partition {>= 2 coordinates <= a/2}.
     """
     if not cls.has_complementation:
         raise UnsupportedClassError(f"{cls.value} has no complementation component")
     check_box_shape(box, cls)
     a, b, c = box.a, box.b, box.c
-    if cls in (SymmetryClass.TC, SymmetryClass.STC, SymmetryClass.SC):
+    if not cls.is_cyclic:
         if c % 2 != 0:
             raise UnsupportedClassError(
                 "no half-full reference in a box of odd height; "

@@ -89,12 +89,24 @@ def thm6_scpp(a: int, b: int, c: int) -> int:
     return macmahon_box(a // 2, b // 2, c // 2)
 
 
-def thm7_csscpp(alpha: int) -> tuple[int, str]:
-    """Absolute value of the signed count, with the conjectured-sign tag."""
+def thm7_csscpp(alpha: int) -> int:
+    """Absolute value of the signed count; its sign is conjectured +1."""
     value = Fraction(1)
     for k in range(alpha):
         value *= Fraction(math.factorial(3 * k + 1), math.factorial(alpha + k))
-    return _integral(value, "cssc product"), "sign conjectured +1"
+    return _integral(value, "cssc product")
+
+
+# (a mod 4, b mod 4, c mod 4) -> the shifts (da, db, dc) of the three factors
+# B((a+da)/4, (b+db)/4, (c+dc)/4), B = macmahon_box, raised to 2, 1 and 1
+_SCPP_ODD_SHIFTS = {
+    (0, 3, 3): ((0, 1, 1), (0, -3, 1), (0, 1, -3)),
+    (0, 1, 1): ((0, -1, -1), (0, 3, -1), (0, -1, 3)),
+    (2, 3, 3): ((-2, 1, 1), (2, -3, 1), (2, 1, -3)),
+    (2, 1, 1): ((2, -1, -1), (-2, 3, -1), (-2, -1, 3)),
+    (0, 1, 3): ((0, -1, 1), (0, -1, 1), (0, 3, -3)),
+    (0, 3, 1): ((0, 1, -1), (0, 1, -1), (0, -3, 3)),
+}
 
 
 def conj_scpp_odd(a: int, b: int, c: int) -> int:
@@ -103,47 +115,16 @@ def conj_scpp_odd(a: int, b: int, c: int) -> int:
         raise UnsupportedClassError("conjecture covers a even with b, c odd")
     if a == 0:
         return 1
-    ra, rb, rc = a % 4, b % 4, c % 4
-    B = macmahon_box
-    if ra == 2 and rb != rc:
+    residues = (a % 4, b % 4, c % 4)
+    if residues[0] == 2 and residues[1] != residues[2]:
         return 0
-    if ra == 0 and rb == 3 and rc == 3:
-        return (
-            B(a // 4, (b + 1) // 4, (c + 1) // 4) ** 2
-            * B(a // 4, (b - 3) // 4, (c + 1) // 4)
-            * B(a // 4, (b + 1) // 4, (c - 3) // 4)
-        )
-    if ra == 0 and rb == 1 and rc == 1:
-        return (
-            B(a // 4, (b - 1) // 4, (c - 1) // 4) ** 2
-            * B(a // 4, (b + 3) // 4, (c - 1) // 4)
-            * B(a // 4, (b - 1) // 4, (c + 3) // 4)
-        )
-    if ra == 2 and rb == 3 and rc == 3:
-        return (
-            B((a - 2) // 4, (b + 1) // 4, (c + 1) // 4) ** 2
-            * B((a + 2) // 4, (b - 3) // 4, (c + 1) // 4)
-            * B((a + 2) // 4, (b + 1) // 4, (c - 3) // 4)
-        )
-    if ra == 2 and rb == 1 and rc == 1:
-        return (
-            B((a + 2) // 4, (b - 1) // 4, (c - 1) // 4) ** 2
-            * B((a - 2) // 4, (b + 3) // 4, (c - 1) // 4)
-            * B((a - 2) // 4, (b - 1) // 4, (c + 3) // 4)
-        )
-    if ra == 0 and rb == 1 and rc == 3:
-        return (
-            B(a // 4, (b - 1) // 4, (c + 1) // 4) ** 2
-            * B(a // 4, (b - 1) // 4, (c + 1) // 4)
-            * B(a // 4, (b + 3) // 4, (c - 3) // 4)
-        )
-    if ra == 0 and rb == 3 and rc == 1:
-        return (
-            B(a // 4, (b + 1) // 4, (c - 1) // 4) ** 2
-            * B(a // 4, (b + 1) // 4, (c - 1) // 4)
-            * B(a // 4, (b - 3) // 4, (c + 3) // 4)
-        )
-    raise UnsupportedClassError(f"no conjecture case for residues {(ra, rb, rc)}")
+    shifts = _SCPP_ODD_SHIFTS.get(residues)
+    if shifts is None:
+        raise UnsupportedClassError(f"no conjecture case for residues {residues}")
+    return math.prod(
+        macmahon_box((a + da) // 4, (b + db) // 4, (c + dc) // 4) ** e
+        for (da, db, dc), e in zip(shifts, (2, 1, 1))
+    )
 
 
 # ---------------------------------------------------------------------------

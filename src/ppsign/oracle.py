@@ -23,7 +23,7 @@ from itertools import product
 from typing import Iterator
 
 from . import core
-from .core import BoxDims, PlanePartition, SymmetryClass
+from .core import BoxDims, PlanePartition, SignedCount, SymmetryClass
 from .errors import (
     InvalidInputError,
     ResourceLimitError,
@@ -45,17 +45,6 @@ class WeightTag(Enum):
 class WeightKind:
     tag: WeightTag
     q: Fraction = Fraction(1)
-
-
-@dataclass(frozen=True)
-class SignedCount:
-    """An exact enumeration result plus how it was obtained."""
-
-    value: int | Fraction
-    method: str
-    cls: SymmetryClass | None
-    box: BoxDims | None
-    sign_convention: str = "absolute"
 
 
 def enumerate_class(
@@ -235,9 +224,9 @@ def _compile(box: BoxDims, cls: SymmetryClass):
             values = []  # what each source makes the cell, through the source's root
             if cls.is_symmetric and i > j:
                 values.append(expr(j * b + i))
-            if cls in core._POINT_COMPLEMENT:
+            if cls.complement == "point":
                 partner = (a - 1 - i, b - 1 - j)
-            elif cls in core._TRANSPOSE_COMPLEMENT:
+            elif cls.complement == "transpose":
                 partner = (a - 1 - j, a - 1 - i)
             else:
                 partner = None
@@ -309,7 +298,7 @@ def signed_count(
         reference = next(_walk(box, cls, node_budget), None)
         convention = "reference: lexicographically first member (global sign arbitrary)"
     if reference is None:
-        return SignedCount(0, "oracle-bruteforce", cls, box, "empty class")
+        return SignedCount(0, "empty class")
     # one cell (i, j, k) per orbit: a member holds it iff h at (i, j) >= k
     b = box.b
     reps = []
@@ -321,7 +310,7 @@ def signed_count(
     total = 0
     for h in _walk(box, cls, node_budget):
         total += -1 if sum(map(list.__getitem__, flips, h)) & 1 else 1
-    return SignedCount(total, "oracle-bruteforce", cls, box, convention)
+    return SignedCount(total, convention)
 
 
 def _cell_table(box: BoxDims, reps: list[tuple[int, int, bool]]) -> list[list[int]]:

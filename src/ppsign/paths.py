@@ -19,10 +19,11 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import exactalg
-from .core import BoxDims, SymmetryClass
+from .core import SignedCount
 from .errors import DimensionError, InternalConsistencyError, UnsupportedClassError
-from .oracle import SignedCount
 from .qseries import binom, qbinom_minus1
+
+_HALF_FULL = "reference: half-full partition"
 
 Point = tuple[int, int]
 
@@ -126,10 +127,7 @@ def tcpp_matrix(a: int, b: int) -> ClassMatrix:
 def tcpp_enum(a: int, b: int) -> SignedCount:
     cm = tcpp_matrix(a, b)
     value = cm.global_sign * exactalg.det(cm.rows)
-    return SignedCount(
-        value, "lgv-determinant", SymmetryClass.TC, BoxDims(a, a, 2 * b),
-        "reference: half-full partition",
-    )
+    return SignedCount(value, _HALF_FULL)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +145,7 @@ def stcpp_enum(alpha: int, b: int) -> SignedCount:
     empty and the enumeration is 1.
     """
     value = _continuity_normalized_pfaffian(0, alpha, b)
-    return SignedCount(
-        value, "lgv-pfaffian", SymmetryClass.STC,
-        BoxDims(2 * alpha, 2 * alpha, 2 * b), "reference: half-full partition",
-    )
+    return SignedCount(value, _HALF_FULL)
 
 
 def mtilde_entry(alpha: int, b: int, i: int, j: int) -> int:
@@ -187,11 +182,7 @@ def stcpp_odd_enum(alpha: int, b: int) -> SignedCount:
     """(-1)-enumeration for the (2a+1) x (2a+1) x 2b box; no closed form,
     but the Pfaffian is exact.  Sign anchored at b = 0 as usual."""
     value = _continuity_normalized_pfaffian(1, alpha, b)
-    return SignedCount(
-        value, "lgv-pfaffian", SymmetryClass.STC,
-        BoxDims(2 * alpha + 1, 2 * alpha + 1, 2 * b),
-        "reference: half-full partition",
-    )
+    return SignedCount(value, _HALF_FULL)
 
 
 def stcpp_odd_closed_ee(alpha: int, b: int, i: int, j: int) -> Fraction:
@@ -247,11 +238,7 @@ def cstcpp_enum(alpha: int) -> SignedCount:
         ]
         d = exactalg.det(block)
         value = d * d
-    side = 2 * alpha
-    return SignedCount(
-        value, "lgv-determinant", SymmetryClass.CSTC, BoxDims(side, side, side),
-        "reference: majority partition",
-    )
+    return SignedCount(value, "reference: majority partition")
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +261,7 @@ def tsscpp_enum(alpha: int) -> SignedCount:
             for i in range(1, n + 1)
         ]
         value = exactalg.det(block)
-    side = 2 * alpha
-    return SignedCount(
-        value, "lgv-determinant", SymmetryClass.TSSC, BoxDims(side, side, side),
-        "reference: majority partition (sign conventional)",
-    )
+    return SignedCount(value, "reference: majority partition (sign conventional)")
 
 
 def tsscpp_pool(alpha: int) -> list[list[int]]:
@@ -334,10 +317,8 @@ def scpp_matrix(a: int, b: int, c: int) -> ClassMatrix:
 
 
 def scpp_enum(a: int, b: int, c: int) -> SignedCount:
-    box = BoxDims(a, b, c)
     if a == 0 or b == 0 or c == 0:
-        return SignedCount(1, "lgv-pfaffian", SymmetryClass.SC, box,
-                           "reference: half-full partition")
+        return SignedCount(1, _HALF_FULL)
     cm = scpp_matrix(a, b, c)
     # S*·J·S*^T with J = [[0, I], [-I, 0]] is L·R^T - R·L^T = P - P^T for
     # the column halves L and R of S*
@@ -346,8 +327,7 @@ def scpp_enum(a: int, b: int, c: int) -> SignedCount:
     p = exactalg.matmul(left, exactalg.transpose(right))
     m = [[x - y for x, y in zip(row, col)] for row, col in zip(p, zip(*p))]
     value = cm.global_sign * exactalg.pfaffian(m)
-    return SignedCount(value, "lgv-pfaffian", SymmetryClass.SC, box,
-                       "reference: half-full partition")
+    return SignedCount(value, _HALF_FULL)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ code is checked against a second route, not against itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import chain, permutations
+from operator import itemgetter, le, ne
 from typing import Sequence
 
 from ppsign import core
@@ -62,36 +64,79 @@ def cells_of(pp: PlanePartition) -> frozenset[Cell]:
     return frozenset(pp.cells())
 
 
+def cell_indicator(pp: PlanePartition) -> bytes:
+    """The cell set of pp as one byte per box cell in box.cells() order, 1
+    where pp holds the cell, then one 0 byte that stands for every cell
+    outside the box.  pp must be a plane partition in its box."""
+    return b"".join(map(_columns(pp.box.c).__getitem__, chain.from_iterable(pp.heights))) + b"\0"
+
+
+@lru_cache(maxsize=None)
+def _columns(c: int) -> tuple[bytes, ...]:
+    """_columns(c)[h]: the cells (i, j, 1..c) of one column of height h."""
+    return tuple(b"\1" * h + b"\0" * (c - h) for h in range(c + 1))
+
+
+def _transpose(box: BoxDims, x: Cell) -> Cell:
+    return (x[1], x[0], x[2])
+
+
+def _rotate(box: BoxDims, x: Cell) -> Cell:
+    return (x[1], x[2], x[0])
+
+
+def _point_complement(box: BoxDims, x: Cell) -> Cell:
+    return (box.a + 1 - x[0], box.b + 1 - x[1], box.c + 1 - x[2])
+
+
+def _transpose_complement(box: BoxDims, x: Cell) -> Cell:
+    return (box.a + 1 - x[1], box.a + 1 - x[0], box.c + 1 - x[2])
+
+
+_MAPS = (_transpose, _rotate, _point_complement, _transpose_complement)
+
+
+@lru_cache(maxsize=None)
+def _pullbacks(box: BoxDims) -> tuple:
+    """Per map f of _MAPS, a function taking a cell indicator to the tuple
+    whose entry for box cell x says whether the set holds f(x) (never,
+    when f(x) leaves the box)."""
+    index = {x: n for n, x in enumerate(box.cells())}
+    outside = box.volume()
+    getters = []
+    for f in _MAPS:
+        images = [index.get(f(box, x), outside) for x in box.cells()]
+        if len(images) < 2:  # itemgetter returns a tuple from two indices on
+            getters.append(lambda indicator, images=images: tuple(indicator[n] for n in images))
+        else:
+            getters.append(itemgetter(*images))
+    return tuple(getters)
+
+
 def cellset_satisfies(
-    pp: PlanePartition, cls: SymmetryClass, cells: frozenset[Cell] | None = None
+    pp: PlanePartition, cls: SymmetryClass, indicator: bytes | None = None
 ) -> bool:
-    """Class membership straight from the cell-set definitions; cells, when
-    given, must be cells_of(pp)."""
-    box = pp.box
-    a, b, c = box.a, box.b, box.c
-    if cells is None:
-        cells = cells_of(pp)
+    """Class membership straight from the cell-set definitions; indicator,
+    when given, must be cell_indicator(pp).
 
-    def sym(f):
-        return all(f(x) in cells for x in cells)
-
-    def anti(f):
-        return all((f((i, j, k)) not in cells) == ((i, j, k) in cells)
-                   for i in range(1, a + 1)
-                   for j in range(1, b + 1)
-                   for k in range(1, c + 1))
-
+    Invariance under f: every cell x of the set has f(x) in the set.
+    Complementation by f: for every box cell x, f(x) is outside the set
+    exactly when x is inside.
+    """
+    if indicator is None:
+        indicator = cell_indicator(pp)
+    transpose, rotate, point, transpose_point = _pullbacks(pp.box)
     ok = True
     if cls in (SymmetryClass.SYMMETRIC, SymmetryClass.TOTALLY_SYMMETRIC,
                SymmetryClass.STC, SymmetryClass.TSSC):
-        ok = ok and sym(lambda x: (x[1], x[0], x[2]))
+        ok = ok and all(map(le, indicator, transpose(indicator)))
     if cls in (SymmetryClass.CYCLIC, SymmetryClass.TOTALLY_SYMMETRIC,
                SymmetryClass.CSTC, SymmetryClass.CSSC, SymmetryClass.TSSC):
-        ok = ok and sym(lambda x: (x[1], x[2], x[0]))
+        ok = ok and all(map(le, indicator, rotate(indicator)))
     if cls in (SymmetryClass.SC, SymmetryClass.CSSC, SymmetryClass.TSSC):
-        ok = ok and anti(lambda x: (a + 1 - x[0], b + 1 - x[1], c + 1 - x[2]))
+        ok = ok and all(map(ne, indicator, point(indicator)))
     if cls in (SymmetryClass.TC, SymmetryClass.STC, SymmetryClass.CSTC):
-        ok = ok and anti(lambda x: (a + 1 - x[1], a + 1 - x[0], c + 1 - x[2]))
+        ok = ok and all(map(ne, indicator, transpose_point(indicator)))
     return ok
 
 

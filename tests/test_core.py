@@ -12,7 +12,14 @@ from ppsign.errors import (
 )
 from ppsign.oracle import enumerate_class
 
-from oracles import cellset_satisfies, cellset_to_pp, cells_of, is_valid_pp, sign_weight
+from oracles import (
+    cell_indicator,
+    cellset_satisfies,
+    cellset_to_pp,
+    cells_of,
+    is_valid_pp,
+    sign_weight,
+)
 
 SC = SymmetryClass
 
@@ -65,6 +72,74 @@ def test_satisfies_shape_errors():
         core.check_box_shape(BoxDims(3, 3, 3), SC.TSSC)
 
 
+def test_satisfies_rejects_height_matrices_that_are_not_plane_partitions():
+    box = BoxDims(2, 2, 2)
+    # each would pass the class conditions alone: a rise along a row, a rise
+    # down a column, and entries outside [0, c]
+    assert not core.satisfies(PlanePartition(box, ((1, 2), (0, 1))), SC.SC)
+    assert not core.satisfies(PlanePartition(box, ((1, 0), (2, 1))), SC.SC)
+    assert not core.satisfies(PlanePartition(box, ((3, 0), (0, -1))), SC.PLAIN)
+    assert not core.satisfies(PlanePartition(BoxDims(2, 2, 4), ((5, 1), (1, -3))), SC.PLAIN)
+    assert core.satisfies(PlanePartition(BoxDims(2, 2, 4), ((4, 1), (1, 0))), SC.PLAIN)
+    with pytest.raises(ShapeError):
+        core.satisfies(PlanePartition(box, ((1, 1),)), SC.PLAIN)
+    with pytest.raises(ShapeError):
+        core.satisfies(PlanePartition(box, ((1, 1), (1,))), SC.SC)
+
+
+# (class, box, what the box lacks or None): per class a box that passes and
+# one that breaks each rule; a box that breaks two rules shows which is
+# checked first
+SHAPE_CASES = [
+    (SC.PLAIN, (2, 3, 5), None),
+    (SC.PLAIN, (0, 1, 2), None),
+    (SC.SYMMETRIC, (3, 3, 5), None),
+    (SC.SYMMETRIC, (2, 3, 2), "a square base"),
+    (SC.CYCLIC, (3, 3, 3), None),
+    (SC.CYCLIC, (3, 3, 2), "a cubical box"),
+    (SC.TOTALLY_SYMMETRIC, (3, 3, 3), None),
+    (SC.TOTALLY_SYMMETRIC, (3, 3, 2), "a cubical box"),
+    (SC.TOTALLY_SYMMETRIC, (2, 3, 3), "a cubical box"),
+    (SC.SC, (3, 2, 5), None),
+    (SC.SC, (1, 1, 1), None),
+    (SC.TC, (3, 3, 2), None),
+    (SC.TC, (2, 3, 2), "a square base"),
+    (SC.TC, (3, 3, 3), "an even height"),
+    (SC.TC, (2, 3, 3), "a square base"),
+    (SC.STC, (3, 3, 4), None),
+    (SC.STC, (3, 2, 2), "a square base"),
+    (SC.STC, (2, 2, 1), "an even height"),
+    (SC.STC, (3, 2, 3), "a square base"),
+    (SC.CSTC, (4, 4, 4), None),
+    (SC.CSTC, (4, 4, 2), "a cubical box"),
+    (SC.CSTC, (3, 3, 3), "even sides"),
+    (SC.CSTC, (3, 3, 5), "a cubical box"),
+    (SC.CSSC, (2, 2, 2), None),
+    (SC.CSSC, (2, 4, 4), "a cubical box"),
+    (SC.CSSC, (5, 5, 5), "even sides"),
+    (SC.CSSC, (5, 3, 5), "a cubical box"),
+    (SC.TSSC, (6, 6, 6), None),
+    (SC.TSSC, (6, 6, 4), "a cubical box"),
+    (SC.TSSC, (1, 1, 1), "even sides"),
+    (SC.TSSC, (3, 1, 1), "a cubical box"),
+]
+
+
+def test_shape_cases_cover_every_class():
+    assert {cls for cls, _, _ in SHAPE_CASES} == set(SC)
+
+
+@pytest.mark.parametrize("cls,sides,lacks", SHAPE_CASES)
+def test_check_box_shape(cls, sides, lacks):
+    box = BoxDims(*sides)
+    if lacks is None:
+        core.check_box_shape(box, cls)
+        return
+    with pytest.raises(ShapeError) as excinfo:
+        core.check_box_shape(box, cls)
+    assert str(excinfo.value) == f"{cls.value} needs {lacks}, got {box}"
+
+
 CELLSET_CASES = COMPLEMENTATION_BOXES + [
     (SC.SYMMETRIC, BoxDims(3, 3, 2)),
     (SC.CYCLIC, BoxDims(3, 3, 3)),
@@ -74,16 +149,16 @@ CELLSET_CASES = COMPLEMENTATION_BOXES + [
 
 @lru_cache(maxsize=None)
 def _satisfies_mismatches(box):
-    """One pass over the plain partitions in the box: each member's cell set
-    is built once and judged for every class CELLSET_CASES tests on this
+    """One pass over the plain partitions in the box: each member's cell
+    indicator is built once and judged for every class CELLSET_CASES tests on this
     box.  Maps each class to the height matrices on which core.satisfies
     and the cell-set definition disagree."""
     classes = [cls for cls, case_box in CELLSET_CASES if case_box == box]
     mismatches = {cls: [] for cls in classes}
     for pp in enumerate_class(box, SC.PLAIN):
-        cells = cells_of(pp)
+        indicator = cell_indicator(pp)
         for cls in classes:
-            if core.satisfies(pp, cls) != cellset_satisfies(pp, cls, cells):
+            if core.satisfies(pp, cls) != cellset_satisfies(pp, cls, indicator):
                 mismatches[cls].append(pp.heights)
     return mismatches
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ def test_closed_forms_count_the_empty_box_as_one():
         assert formulas.lemma_M1(0, b) == 1
     assert formulas.thm4_cstcpp(0) == 1
     assert formulas.thm5_tsscpp(0) == 1
-    assert formulas.thm7_csscpp(0)[0] == 1
+    assert formulas.thm7_csscpp(0) == 1
 
 
 def test_thm4_is_square_of_thm5():
@@ -53,10 +54,7 @@ def test_thm6_values():
 
 
 def test_thm7_values():
-    assert formulas.thm7_csscpp(1) == (1, "sign conjectured +1")
-    assert formulas.thm7_csscpp(2)[0] == 2
-    assert formulas.thm7_csscpp(3)[0] == 7
-    assert formulas.thm7_csscpp(4)[0] == 42
+    assert [formulas.thm7_csscpp(alpha) for alpha in (1, 2, 3, 4)] == [1, 2, 7, 42]
 
 
 def test_conjecture_values():
@@ -66,6 +64,21 @@ def test_conjecture_values():
     assert formulas.conj_scpp_odd(2, 1, 5) == formulas.conj_scpp_odd(2, 5, 1)
     with pytest.raises(UnsupportedClassError):
         formulas.conj_scpp_odd(3, 3, 3)
+
+
+def test_conjecture_values_on_a_grid_past_the_golden_rows():
+    # even a <= 16, odd b, c <= 15: 576 boxes, every residue case with
+    # factors B(m, ...) for m up to 4 (the golden sc-odd rows stop at a = 4,
+    # where most factors are B(0, ...) = 1); the digest of the values in
+    # this order was recorded from the six-branch form of the evaluator
+    values = [
+        formulas.conj_scpp_odd(a, b, c)
+        for a in range(0, 17, 2) for b in range(1, 16, 2) for c in range(1, 16, 2)
+    ]
+    assert sum(v == 0 for v in values) == 128
+    assert values[-1] == 33067263563568267264  # (16, 15, 15)
+    digest = hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+    assert digest == "6e83abe962281611cf3f65e2ed42813c3d12706773e8bb6980c691488a1b9305"
 
 
 def test_lemma_detl_spec_instances():
