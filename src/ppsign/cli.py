@@ -41,66 +41,55 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class RunConfig:
-    node_budget: int = oracle.DEFAULT_NODE_BUDGET
-    subset_budget: int = exactalg.DEFAULT_SUBSET_BUDGET
-    output_format: str = "json"
-    timing: bool = False
-    strict: bool = False
-    seed: int = 0
-    out: str | None = None
+_BUDGETS = (
+    ("node_budget", "PPSIGN_NODE_BUDGET", oracle.DEFAULT_NODE_BUDGET),
+    ("subset_budget", "PPSIGN_SUBSET_BUDGET", exactalg.DEFAULT_SUBSET_BUDGET),
+)
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(f"environment variable {name} must be an integer")
-    if value <= 0:
-        raise SystemExit(f"environment variable {name} must be positive")
-    return value
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        node_budget=_env_int("PPSIGN_NODE_BUDGET", oracle.DEFAULT_NODE_BUDGET),
-        subset_budget=_env_int("PPSIGN_SUBSET_BUDGET", exactalg.DEFAULT_SUBSET_BUDGET),
-    )
-    if getattr(args, "node_budget", None) is not None:
-        cfg.node_budget = args.node_budget
-    if getattr(args, "subset_budget", None) is not None:
-        cfg.subset_budget = args.subset_budget
-    cfg.output_format = getattr(args, "format", "json")
-    cfg.timing = bool(getattr(args, "timing", False))
-    cfg.strict = bool(getattr(args, "strict", False))
-    cfg.seed = getattr(args, "seed", 0) or 0
-    cfg.out = getattr(args, "out", None)
-    if cfg.node_budget <= 0 or cfg.subset_budget <= 0:
+def _check_args(args: argparse.Namespace) -> None:
+    """Fill each budget from its flag, else its environment variable, else
+    its default, and raise SystemExit on a budget or count out of range."""
+    for flag, name, default in _BUDGETS:
+        raw = os.environ.get(name)
+        if raw is not None:
+            try:
+                default = int(raw)
+            except ValueError:
+                raise SystemExit(f"environment variable {name} must be an integer")
+            if default <= 0:
+                raise SystemExit(f"environment variable {name} must be positive")
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    if args.node_budget <= 0 or args.subset_budget <= 0:
         raise SystemExit("budgets must be positive")
     for flag in ("fuzz", "max_a", "max_b", "max_c", "max_alpha"):
         if getattr(args, flag, 0) < 0:
             raise SystemExit(f"--{flag.replace('_', '-')} must be nonnegative")
-    return cfg
 
 
-def _emit(records: list[dict], cfg: RunConfig) -> None:
-    if cfg.output_format == "json":
+def _finish(records: list[dict], args) -> int:
+    """Print the records (or write them to --out); exit 1 on any MISMATCH or
+    FAIL, else 3 under --strict if a budget skipped anything, else 0."""
+    if args.format == "json":
         text = json.dumps(records, sort_keys=True, indent=2)
-    elif cfg.output_format == "tsv":
+    elif args.format == "tsv":
         keys = sorted({k for r in records for k in r})
         rows = ["\t".join(str(r.get(k, "")) for k in keys) for r in records]
         text = "\n".join(["\t".join(keys), *rows])
     else:
         text = "\n".join("  ".join(f"{k}={v}" for k, v in sorted(r.items())) for r in records)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    outcomes = {r.get(key) for r in records for key in ("status", "verdict", "result")}
+    if outcomes & {"MISMATCH", "FAIL"}:
+        return EXIT_MISMATCH
+    if args.strict and "SKIPPED" in outcomes:
+        return EXIT_BUDGET
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +201,14 @@ def _short_name(name: str) -> str:
 
 
 def _route(route: str, cls: SymmetryClass, spec: ClassSpec | None, box: BoxDims,
-           cfg: RunConfig) -> tuple[int, str]:
+           node_budget: int) -> tuple[int, str]:
     """The value one route gives on the box, with its sign-convention label."""
     if route == "oracle":
-        sc = oracle.signed_count(box, cls, cfg.node_budget)
+        sc = oracle.signed_count(box, cls, node_budget)
         return sc.value, sc.sign_convention
     if route == ORBIT_WEIGHT:
         return oracle.weighted_count(
-            box, SymmetryClass.CYCLIC, _ORBIT_WEIGHT_KIND, cfg.node_budget
+            box, SymmetryClass.CYCLIC, _ORBIT_WEIGHT_KIND, node_budget
         ), ""
     if route == "lgv":
         sc = spec.lgv(*spec.params(box))
@@ -254,7 +243,6 @@ def _box_for(cls: SymmetryClass, args) -> BoxDims:
 
 
 def cmd_enumerate(args) -> int:
-    cfg = _config_from_args(args)
     cls = _CLASSES.get(_short_name(args.cls))
     if cls is None:
         print(f"unknown class {args.cls!r}", file=sys.stderr)
@@ -278,44 +266,36 @@ def cmd_enumerate(args) -> int:
                 return EXIT_USAGE
             continue
         started = time.monotonic()
+        record = {"class": cls.value, "box": [box.a, box.b, box.c], "method": method}
         try:
-            value, convention = _route(method, cls, spec, box, cfg)
+            value, convention = _route(method, cls, spec, box, args.node_budget)
         except ResourceLimitError as exc:
             print(f"budget: {exc}", file=sys.stderr)
-            return EXIT_BUDGET if cfg.strict else EXIT_OK
+            record["status"] = "SKIPPED"
         except InternalConsistencyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MISMATCH
         except PPSignError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        record = {
-            "class": cls.value,
-            "box": [box.a, box.b, box.c],
-            "method": method,
-            "value": str(value),
-            "sign_convention": convention,
-        }
-        if cfg.timing:
+        else:
+            record.update(value=str(value), sign_convention=convention)
+            values[method] = value
+        if args.timing:
             record["elapsed_ms"] = int((time.monotonic() - started) * 1000)
         records.append(record)
-        values[method] = value
 
-    exit_code = EXIT_OK
+    # the verdict is over the methods that finished
     if args.method == "all" and len(values) > 1:
-        agree = _agree(values, spec.compare)
-        records.append({"verdict": "OK" if agree else "MISMATCH"})
-        if not agree:
-            exit_code = EXIT_MISMATCH
-    _emit(records, cfg)
-    return exit_code
+        records.append({"verdict": "OK" if _agree(values, spec.compare) else "MISMATCH"})
+    return _finish(records, args)
 
 
 # ---------------------------------------------------------------------------
 # verification sweeps
 
 
-def _verify_row(name: str, params: tuple[int, ...], cfg: RunConfig) -> dict:
+def _verify_row(name: str, params: tuple[int, ...], args) -> dict:
     spec = _SPECS[name]
     box = spec.box(*params)
     values: dict[str, int] = {}
@@ -324,7 +304,7 @@ def _verify_row(name: str, params: tuple[int, ...], cfg: RunConfig) -> dict:
         for route in spec.routes:
             if route == "oracle" and box.volume() > spec.oracle_max_volume:
                 continue
-            value = _route(route, spec.cls, spec, box, cfg)[0]
+            value = _route(route, spec.cls, spec, box, args.node_budget)[0]
             # a conjecture fixes only the absolute value, so that is reported
             values[route] = abs(value) if spec.compare == CONJECTURE else value
         match = _agree(values, spec.compare)
@@ -341,7 +321,7 @@ def _verify_row(name: str, params: tuple[int, ...], cfg: RunConfig) -> dict:
         "match": match,
         "status": status,
     }
-    if cfg.timing:
+    if args.timing:
         record["elapsed_ms"] = int((time.monotonic() - started) * 1000)
     return record
 
@@ -350,7 +330,6 @@ _SMOKE_LIMITS = dict(max_a=3, max_b=2, max_c=3, max_alpha=2)
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
     if args.smoke:
         for key, value in _SMOKE_LIMITS.items():
             setattr(args, key, min(getattr(args, key), value))
@@ -359,19 +338,14 @@ def cmd_verify(args) -> int:
         print(f"unknown verify class {args.cls!r}", file=sys.stderr)
         return EXIT_USAGE
     records = [
-        _verify_row(row_name, params, cfg)
+        _verify_row(row_name, params, args)
         for row_name in (_SPECS if name == "all" else (name,))
         for params in product(*(
             range(first, getattr(args, f"max_{p}") + 1, step)
             for p, first, step in _SPECS[row_name].sweep
         ))
     ]
-    _emit(records, cfg)
-    if any(r["status"] == "MISMATCH" for r in records):
-        return EXIT_MISMATCH
-    if cfg.strict and any(r["status"] == "SKIPPED" for r in records):
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _finish(records, args)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +462,6 @@ _IDENTITY_FLAGS = tuple(dict.fromkeys(f for spec in _IDENTITIES.values() for f i
 
 
 def cmd_identity(args) -> int:
-    cfg = _config_from_args(args)
     spec = _IDENTITIES[args.name]
     given = {f: getattr(args, f) for f in _IDENTITY_FLAGS if getattr(args, f) is not None}
     stray = [f"--{f}" for f in given if args.fuzz or f not in spec.flags]
@@ -496,32 +469,29 @@ def cmd_identity(args) -> int:
         fuzz = " --fuzz" if args.fuzz else ""
         print(f"error: identity {args.name}{fuzz} reads no {' '.join(stray)}", file=sys.stderr)
         return EXIT_USAGE
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     instances = (
         (spec.draw(rng) for _ in range(args.fuzz or 1)) if args.fuzz or not spec.defaults
         else [tuple(given.get(f, d) for f, d in zip(spec.flags, spec.defaults))]
     )
     records = []
-    failures = 0
     for t, instance in enumerate(instances):
         label = args.name + (f"[{t}]" if len(instance) > len(spec.params) else "")
         label += "".join(f" {p}={v}" for p, v in zip(spec.params, instance))
         try:
-            ok = spec.check(cfg.subset_budget, *instance)
+            result = "PASS" if spec.check(args.subset_budget, *instance) else "FAIL"
         except (DimensionError, DomainError, UnsupportedClassError) as exc:
             print(f"error: {label}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except ResourceLimitError as exc:
             print(f"budget: {label}: {exc}", file=sys.stderr)
-            return EXIT_BUDGET if cfg.strict else EXIT_OK
+            result = "SKIPPED"
         except InternalConsistencyError as exc:
             # a kernel failed its own cross-check inside the identity
             print(f"error: {label}: {exc}", file=sys.stderr)
-            ok = False
-        failures += 0 if ok else 1
-        records.append({"identity": label, "result": "PASS" if ok else "FAIL"})
-    _emit(records, cfg)
-    return EXIT_MISMATCH if failures else EXIT_OK
+            result = "FAIL"
+        records.append({"identity": label, "result": result})
+    return _finish(records, args)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        _check_args(args)
         return args.func(args)
     except SystemExit as exc:  # usage errors found after parsing
         print(exc, file=sys.stderr)

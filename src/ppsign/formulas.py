@@ -40,34 +40,24 @@ def thm1_tcpp(a: int, b: int) -> int:
 
 
 def thm2_stcpp(alpha: int, b: int) -> int:
-    """Signed count for the 2a x 2a x 2b box, case-split on parities."""
+    """Signed count for the 2a x 2a x 2b box, a = alpha: 0 when b is odd and
+    alpha > 0, else one product whose factors have length alpha - 1 for even
+    alpha and alpha for odd alpha."""
     if b % 2 == 1 and alpha > 0:
         return 0
+    length = alpha - 1 + alpha % 2
     value = Fraction(1)
-    if alpha % 2 == 0:
-        for k in range(1, alpha // 2 + 1):
-            value *= Fraction(
-                shifted_factorial(b + 2 * k, alpha - 1),
-                shifted_factorial(2 * k, alpha - 1),
-            )
-    else:
-        for k in range(1, (alpha - 1) // 2 + 1):
-            value *= Fraction(
-                shifted_factorial(b + 2 * k, alpha),
-                shifted_factorial(2 * k, alpha),
-            )
+    for k in range(1, alpha // 2 + 1):
+        value *= Fraction(
+            shifted_factorial(b + 2 * k, length), shifted_factorial(2 * k, length)
+        )
     return _integral(value, "stc product")
 
 
 def thm4_cstcpp(alpha: int) -> int:
-    if alpha == 0:
-        return 1  # the empty box
-    if alpha % 2 == 0:
-        return 0
-    value = Fraction(1)
-    for k in range(1, (alpha - 1) // 2 + 1):
-        value *= Fraction(math.factorial(6 * k - 2), math.factorial(2 * k + alpha - 1))
-    return _integral(value * value, "cstc product")
+    """The square of the TSSC product: under the (-1)-weight the CSTC count
+    is the TSSC count squared (Kuperberg, math.CO/9810091)."""
+    return thm5_tsscpp(alpha) ** 2
 
 
 def thm5_tsscpp(alpha: int) -> int:
@@ -153,48 +143,28 @@ class StructureCase:
         )
 
 
-def _rising_poly(base: Poly, length: int) -> Poly:
-    out = Poly([1])
-    for t in range(length):
-        out = out * (base + t)
-    return out
-
-
 def _forced_factor(alpha: int, b_parity: int) -> tuple[Poly, Poly | None, int]:
     """Forced shifted-factorial product (as a polynomial in b), the extra
     linear factor the even-side cases carry, and the stated quotient degree.
 
+    Both parities share the product, in the half-integer (b - b_parity)/2.
     The quotient over the product has degree (alpha/2)^2 for even alpha
     (the linear factor accounts for one of those degrees) and
     (alpha^2-1)/4 for odd alpha.
     """
     x = Poly.x()
+    half = (x - b_parity) * Fraction(1, 2)
     factor = Poly([1])
     if alpha % 2 == 0:
         expected = (alpha // 2) ** 2
-        if b_parity == 0:
-            linear = x + (2 * alpha + 2)
-            for k in range(1, alpha // 2 + 1):
-                factor = factor * _rising_poly(x * Fraction(1, 2) + k, alpha // 2 + 1)
-        else:
-            linear = x - 1
-            for k in range(1, alpha // 2 + 1):
-                factor = factor * _rising_poly(
-                    (x - 1) * Fraction(1, 2) + k, alpha // 2 + 1
-                )
+        linear = x - 1 if b_parity else x + (2 * alpha + 2)
+        for k in range(1, alpha // 2 + 1):
+            factor = factor * shifted_factorial(half + k, alpha // 2 + 1)
     else:
         expected = (alpha * alpha - 1) // 4
         linear = None
-        if b_parity == 0:
-            for i in range(1, (alpha + 1) // 2 + 1):
-                factor = factor * _rising_poly(
-                    (x + alpha - 1) * Fraction(1, 2) - i + 2, 2 * i - 1
-                )
-        else:
-            for i in range(1, (alpha + 1) // 2 + 1):
-                factor = factor * _rising_poly(
-                    (x + alpha) * Fraction(1, 2) - i + 1, 2 * i - 1
-                )
+        for i in range(1, (alpha + 1) // 2 + 1):
+            factor = factor * shifted_factorial(half + (alpha + 3) // 2 - i, 2 * i - 1)
     return factor, linear, expected
 
 
@@ -307,20 +277,13 @@ def lemma_2ji(alpha: int, beta: int, gamma: int) -> tuple[int, int]:
 
 
 def lemma_M1(alpha: int, b: int) -> int:
-    """Closed form for det of the even-side pool matrix, alpha even."""
+    """Closed form for det of the even-side pool matrix, alpha even: the
+    square of the STC product."""
     _require_nonnegative("alpha", alpha)
     _require_nonnegative("b", b)
     if alpha % 2:
         raise UnsupportedClassError("even alpha only; odd alpha uses a dummy path")
-    if b % 2 and alpha > 0:
-        return 0
-    value = Fraction(1)
-    for k in range(1, alpha // 2 + 1):
-        value *= Fraction(
-            shifted_factorial(b + 2 * k, alpha - 1),
-            shifted_factorial(2 * k, alpha - 1),
-        )
-    return _integral(value * value, "squared product")
+    return thm2_stcpp(alpha, b) ** 2
 
 
 def mrr_det(mu: Rational, n: int) -> tuple[Fraction, Fraction]:
@@ -395,7 +358,7 @@ def mtilde_divisibility_holds(alpha: int, t: int, j: int) -> bool:
     """Whether ((alpha+b)/2 - t + 1/2)_{2t} divides the row combination."""
     _require_nonnegative("alpha", alpha)
     x = Poly.x()
-    divisor = _rising_poly(
+    divisor = Poly([1]) * shifted_factorial(
         (x + alpha) * Fraction(1, 2) - t + Fraction(1, 2), 2 * t
     )
     return exactalg.divides(divisor, mtilde_combination_poly(alpha, t, j))

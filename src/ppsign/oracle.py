@@ -35,7 +35,6 @@ DEFAULT_VSASM_LIMIT = 7
 
 
 class WeightTag(Enum):
-    SIGNED_ORBITS = "signed-orbits"
     QCUBES = "q-cubes"
     QORBITS = "q-orbits"
     PLAIN = "plain"
@@ -335,8 +334,6 @@ def weighted_count(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int | Fraction:
     """Sum of q^statistic over the class members in the box."""
-    if w.tag is WeightTag.SIGNED_ORBITS:
-        return signed_count(box, cls, node_budget).value
     if w.tag is WeightTag.PLAIN:
         return sum(1 for _ in _walk(box, cls, node_budget))
     if w.tag is WeightTag.QCUBES:

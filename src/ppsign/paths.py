@@ -225,20 +225,25 @@ def cstcpp_full_det(alpha: int) -> int:
     return cm.global_sign * exactalg.det(cm.rows)
 
 
-def cstcpp_enum(alpha: int) -> SignedCount:
-    """0 for even alpha > 0; else the square of a half-size binomial
-    determinant (empty, so 1, for the empty box at alpha = 0)."""
+def _half_binomial_det(alpha: int, shift: int) -> int:
+    """det binom(i+j-1, 2j-i-shift) of size alpha // 2: 0 for even alpha > 0,
+    and 1 (the empty determinant) for the empty box at alpha = 0.
+
+    By binom(n, k) = binom(n, n-k) the shift-1 matrix is the transpose of
+    the shift-0 one, so both shifts give the same value.
+    """
     if alpha % 2 == 0 and alpha > 0:
-        value = 0
-    else:
-        n = alpha // 2
-        block = [
-            [binom(i + j - 1, 2 * j - i) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        d = exactalg.det(block)
-        value = d * d
-    return SignedCount(value, "reference: majority partition")
+        return 0
+    n = alpha // 2
+    return exactalg.det([
+        [binom(i + j - 1, 2 * j - i - shift) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ])
+
+
+def cstcpp_enum(alpha: int) -> SignedCount:
+    """The square of the half-size binomial determinant at shift 0."""
+    return SignedCount(_half_binomial_det(alpha, 0) ** 2, "reference: majority partition")
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +251,14 @@ def cstcpp_enum(alpha: int) -> SignedCount:
 
 
 def tsscpp_enum(alpha: int) -> SignedCount:
-    """0 for even alpha > 0; else a half-size binomial determinant (empty,
-    so 1, for the empty box at alpha = 0).
+    """The half-size binomial determinant at shift 1.
 
     The sign is relative to the majority reference partition, the
     conventional choice of weight-1 member.
     """
-    if alpha % 2 == 0 and alpha > 0:
-        value = 0
-    else:
-        n = alpha // 2
-        block = [
-            [binom(i + j - 1, 2 * j - i - 1) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        value = exactalg.det(block)
-    return SignedCount(value, "reference: majority partition (sign conventional)")
+    return SignedCount(
+        _half_binomial_det(alpha, 1), "reference: majority partition (sign conventional)"
+    )
 
 
 def tsscpp_pool(alpha: int) -> list[list[int]]:

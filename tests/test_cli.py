@@ -2,7 +2,7 @@ import json
 from dataclasses import replace
 
 from ppsign import cli, core, exactalg, paths
-from ppsign.errors import InternalConsistencyError
+from ppsign.errors import InternalConsistencyError, ResourceLimitError
 
 
 def run_cli(capsys, *argv):
@@ -265,10 +265,13 @@ def test_enumerate_deep_box_stops_on_budget(capsys):
             "--node-budget", "100000")
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
-    assert out == ""
+    assert json.loads(out) == [
+        {"class": "tc", "box": [33, 33, 2], "method": "oracle", "status": "SKIPPED"}
+    ]
     assert err.startswith("budget:") and "Traceback" not in err
-    code, _, err = run_cli(capsys, *argv, "--strict")
+    code, strict_out, err = run_cli(capsys, *argv, "--strict")
     assert code == 3
+    assert strict_out == out
     assert err.startswith("budget:")
 
 
@@ -341,9 +344,41 @@ def test_subset_budget_reaches_minor_summation(capsys, monkeypatch):
     assert code == 0 and err == ""
     code, out, err = run_cli(capsys, *argv, "--subset-budget", "1")
     assert code == 0
-    assert out == ""
-    assert err.startswith("budget:")
+    # a stop skips only its instance, and the run goes on
+    assert [r["result"] for r in json.loads(out)] == ["SKIPPED", "PASS", "PASS"]
+    assert err.startswith("budget:") and err.count("budget:") == 1
     assert run_cli(capsys, *argv, "--subset-budget", "1", "--strict")[0] == 3
     monkeypatch.setenv("PPSIGN_SUBSET_BUDGET", "1")
     code, _, err = run_cli(capsys, *argv, "--strict")
     assert code == 3 and err.startswith("budget:")
+
+
+def test_budget_stop_skips_one_method_and_the_verdict_takes_the_rest(capsys):
+    argv = ("enumerate", "--class", "cstc", "--alpha", "2", "--node-budget", "10")
+    for strict, expected_code in (((), 0), (("--strict",), 3)):
+        code, out, err = run_cli(capsys, *argv, *strict)
+        assert code == expected_code
+        records = json.loads(out)
+        assert [r.get("status") for r in records] == ["SKIPPED", None, None, None]
+        assert "value" not in records[0]
+        assert [r["value"] for r in records[1:3]] == ["0", "0"]
+        assert records[3] == {"verdict": "OK"}
+        assert err.startswith("budget:") and len(err.splitlines()) == 1
+
+
+def test_identity_fail_then_budget_stop_exits_one(capsys, monkeypatch):
+    calls = []
+
+    def fail_then_stop(tmat, amat, budget):
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            raise ResourceLimitError("subset budget exceeded")
+        return 1, 2
+
+    monkeypatch.setattr(paths, "minor_summation", fail_then_stop)
+    argv = ("identity", "--name", "minor-summation", "--fuzz", "2")
+    for strict in ((), ("--strict",)):
+        code, out, err = run_cli(capsys, *argv, *strict)
+        assert code == 1
+        assert [r["result"] for r in json.loads(out)] == ["FAIL", "SKIPPED"]
+        assert err.startswith("budget:")

@@ -49,6 +49,12 @@ def _enumerate_corpus():
     for fmt in ("tsv", "human"):
         yield ["enumerate", "--class", "tc", "--a", "3", "--b", "1", "--format", fmt]
         yield ["enumerate", "--class", "sc", "--a", "2", "--b", "3", "--c", "3", "--format", fmt]
+    # budget-stopped methods: a SKIPPED record, and exit 3 only under
+    # --strict; 10 nodes stop the CSTC 4^3 oracle, and the other two agree
+    for strict in ((), ("--strict",)):
+        yield ["enumerate", "--class", "tc", "--a", "33", "--b", "1", "--method", "oracle",
+               "--node-budget", "100000", *strict]
+    yield ["enumerate", "--class", "cstc", "--alpha", "2", "--node-budget", "10"]
 
 
 def _verify_corpus():
@@ -76,6 +82,10 @@ def _identity_corpus():
         yield ["identity", "--name", name]
         for seed in ("1", "2"):
             yield ["identity", "--name", name, "--fuzz", "4", "--seed", seed]
+    # a budget-stopped instance: SKIPPED, and the run goes on
+    for strict in ((), ("--strict",)):
+        yield ["identity", "--name", "minor-summation", "--fuzz", "3", "--seed", "1",
+               "--subset-budget", "1", *strict]
 
 
 def _usage_corpus():

@@ -140,10 +140,11 @@ def test_mtilde_recurrence():
 
 
 def test_mtilde_divisibility():
+    # at t = 0 the divisor is the empty rising factorial, the constant 1
     for alpha in (2, 4, 6):
-        for t in (1, 2, 3):
+        for t in (0, 1, 2, 3):
             for j in (1, 2, 3):
-                assert formulas.mtilde_divisibility_holds(alpha, t, j)
+                assert formulas.mtilde_divisibility_holds(alpha, t, j) is True
 
 
 def test_structure_check_alpha_one_to_three():
@@ -153,6 +154,14 @@ def test_structure_check_alpha_one_to_three():
             assert case.quotient_degree == case.expected_degree
             assert case.linear_divides is not False
             assert case.ok
+
+
+def test_structure_report_is_pinned():
+    # the digest of these reports (pipeline, forced factor, quotient per b
+    # parity) was recorded from the four-branch form of the forced factor
+    text = "\n".join(repr(formulas.thm3_structure_check(alpha)) for alpha in range(1, 8))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c3a23680c5b8206a252852df97c6f24dd6507d7c3d8a6198e8db23d907868fe9"
 
 
 def test_structure_check_linear_factors_present():
