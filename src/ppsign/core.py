@@ -207,10 +207,14 @@ def satisfies_flat(h: Sequence[int], box: BoxDims, cls: SymmetryClass) -> bool:
         if any(h[i * b:(i + 1) * b] != h[i:n:b] for i in range(a)):
             return False
     if cls.is_cyclic:
-        # column j is the conjugate of row j
+        # column j is the conjugate of row j: its entry i counts the row
+        # entries above i.  Past the k smallest entries of the row, a - k
+        # remain, and they are above every i below the next one
         for j in range(a):
-            row = h[j * a:(j + 1) * a]
-            if h[j:n:a] != [sum(1 for v in row if v > i) for i in range(a)]:
+            conjugate: list[int] = []
+            for k, v in enumerate(sorted(h[j * a:(j + 1) * a])):
+                conjugate += [a - k] * (min(v, a) - len(conjugate))
+            if h[j:n:a] != conjugate + [0] * (a - len(conjugate)):
                 return False
     if cls.complement == "point":
         # (i, j) and (a-1-i, b-1-j) sit at flat indices k and n-1-k

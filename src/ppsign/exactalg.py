@@ -2,9 +2,10 @@
 
 Matrices are plain sequences of row sequences; results come back as int
 when the input was integral, Fraction otherwise.  Determinants use
-fraction-free Bareiss elimination; Pfaffians use its skew analogue, whose
-exact divisions rest on Knuth's overlapping-Pfaffian identity, with an
-independent perfect-matching cross-check at small sizes.
+fraction-free Bareiss elimination (from dimension 12, once per diagonal
+block of the block-triangular form); Pfaffians use its skew analogue,
+whose exact divisions rest on Knuth's overlapping-Pfaffian identity, with
+an independent perfect-matching cross-check at small sizes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ DEFAULT_SUBSET_BUDGET = 10**6
 # dimension up to which pfaffian() re-derives its result from the
 # definition sum over perfect matchings
 _PFAFFIAN_CHECK_DIM = 8
+
+# dimension from which det() eliminates each diagonal block of the
+# block-triangular form on its own; below it the search costs more than
+# it saves
+_BLOCK_SPLIT_DIM = 12
 
 
 def _as_rows(m: MatrixLike) -> list[list[Rational]]:
@@ -76,7 +82,11 @@ def det(m: MatrixLike) -> Rational:
 
     Integer input yields an integer; rational input is row-scaled to
     integers first so every intermediate pivot step stays integral; a step
-    that leaves the integers raises InternalConsistencyError.
+    that leaves the integers raises InternalConsistencyError.  From
+    dimension _BLOCK_SPLIT_DIM on, the zero pattern is used first: the
+    determinant is the product of the diagonal blocks of the matrix's
+    block-triangular form, each found by Bareiss, times the sign of the
+    column permutation that puts nonzeros on the diagonal.
     """
     rows = _as_rows(m)
     n = len(rows)
@@ -92,13 +102,21 @@ def det(m: MatrixLike) -> Rational:
         scale *= lcm
         work.append([int(x * lcm) for x in row])
 
+    value = _bareiss(work) if n < _BLOCK_SPLIT_DIM else _block_triangular_det(work)
+    return value if scale == 1 else Fraction(value, scale)
+
+
+def _bareiss(work: list[list[int]]) -> int:
+    """det of a nonempty square integer matrix by fraction-free Bareiss
+    elimination, in place."""
+    n = len(work)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if work[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if work[i][k] != 0), None)
             if pivot is None:
-                return 0 if scale == 1 else Fraction(0)
+                return 0
             work[k], work[pivot] = work[pivot], work[k]
             sign = -sign
         pkk = work[k][k]
@@ -114,8 +132,99 @@ def det(m: MatrixLike) -> Rational:
                 row_i[j] = q
             row_i[k] = 0
         prev = pkk
-    value = sign * work[n - 1][n - 1]
-    return value if scale == 1 else Fraction(value, scale)
+    return sign * work[n - 1][n - 1]
+
+
+def _block_triangular_det(work: list[list[int]]) -> int:
+    """det of a square integer matrix from the diagonal blocks of its
+    block-triangular form (Tarjan 1972; Duff and Reid 1978).
+
+    A perfect matching of rows to nonzero columns (augmenting paths) gives
+    a column permutation col with a nonzero diagonal; without one, every
+    term of the Leibniz sum has a zero factor and det = 0.  The diagonal
+    blocks are the strongly connected components of the graph with an
+    edge from row i to row k whenever work[i][col[k]] != 0, read off a
+    bit-mask transitive closure.  Their order does not change the product.
+    """
+    n = len(work)
+    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in work]
+    col = _perfect_matching(masks)
+    if col is None:
+        return 0
+    row_of = [0] * n
+    for i, j in enumerate(col):
+        row_of[j] = i
+    # reach[i]: the rows reachable from row i, itself included by col[i]
+    reach = [sum(1 << row_of[j] for j, x in enumerate(row) if x) for row in work]
+    for k in range(n):
+        through_k = 1 << k
+        reach_k = reach[k]
+        for i in range(n):
+            if reach[i] & through_k:
+                reach[i] |= reach_k
+    blocks = []
+    placed = 0
+    for i in range(n):
+        if not placed >> i & 1:
+            block = [k for k in range(n) if reach[i] >> k & 1 and reach[k] >> i & 1]
+            placed |= sum(1 << k for k in block)
+            blocks.append(block)
+    if len(blocks) == 1:
+        return _bareiss(work)
+
+    # sgn(col): a cycle of length L is L - 1 transpositions
+    sign = 1
+    seen = 0
+    for start in range(n):
+        j = start
+        while not seen >> j & 1:
+            seen |= 1 << j
+            j = col[j]
+            if j != start:
+                sign = -sign
+    value = sign
+    for block in blocks:
+        value *= _bareiss([[work[i][col[k]] for k in block] for i in block])
+    return value
+
+
+def _perfect_matching(masks: list[int]) -> list[int] | None:
+    """A column for each row, distinct, with row i's column a bit of
+    masks[i], found by breadth-first augmenting paths; None if there is no
+    such matching."""
+    n = len(masks)
+    col = [-1] * n
+    row_of = [-1] * n
+    for root in range(n):
+        came_from: dict[int, int] = {}
+        unseen = (1 << n) - 1
+        frontier = [root]
+        free = -1
+        while frontier and free < 0:
+            grown = []
+            for i in frontier:
+                new = masks[i] & unseen
+                unseen ^= new
+                while new:
+                    low = new & -new
+                    j = low.bit_length() - 1
+                    new ^= low
+                    came_from[j] = i
+                    if row_of[j] < 0:
+                        free = j
+                        break
+                    grown.append(row_of[j])
+                if free >= 0:
+                    break
+            frontier = grown
+        if free < 0:
+            return None
+        j = free
+        while j >= 0:
+            i = came_from[j]
+            row_of[j] = i
+            col[i], j = j, col[i]
+    return col
 
 
 def _pfaffian_matching_sum(rows: list[list[Rational]]) -> Rational:

@@ -225,25 +225,26 @@ def cstcpp_full_det(alpha: int) -> int:
     return cm.global_sign * exactalg.det(cm.rows)
 
 
-def _half_binomial_det(alpha: int, shift: int) -> int:
-    """det binom(i+j-1, 2j-i-shift) of size alpha // 2: 0 for even alpha > 0,
+def _half_binomial_det(alpha: int) -> int:
+    """det binom(i+j-1, 2j-i) of size alpha // 2: 0 for even alpha > 0,
     and 1 (the empty determinant) for the empty box at alpha = 0.
 
-    By binom(n, k) = binom(n, n-k) the shift-1 matrix is the transpose of
-    the shift-0 one, so both shifts give the same value.
+    CSTC squares it and TSSC takes it as is.  TSSC's own matrix,
+    binom(i+j-1, 2j-i-1), is the transpose of this one by binom(n, k) =
+    binom(n, n-k), so both classes share this matrix.
     """
     if alpha % 2 == 0 and alpha > 0:
         return 0
     n = alpha // 2
     return exactalg.det([
-        [binom(i + j - 1, 2 * j - i - shift) for j in range(1, n + 1)]
+        [binom(i + j - 1, 2 * j - i) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ])
 
 
 def cstcpp_enum(alpha: int) -> SignedCount:
-    """The square of the half-size binomial determinant at shift 0."""
-    return SignedCount(_half_binomial_det(alpha, 0) ** 2, "reference: majority partition")
+    """The square of the half-size binomial determinant."""
+    return SignedCount(_half_binomial_det(alpha) ** 2, "reference: majority partition")
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +252,13 @@ def cstcpp_enum(alpha: int) -> SignedCount:
 
 
 def tsscpp_enum(alpha: int) -> SignedCount:
-    """The half-size binomial determinant at shift 1.
+    """The half-size binomial determinant, shared with CSTC.
 
     The sign is relative to the majority reference partition, the
     conventional choice of weight-1 member.
     """
     return SignedCount(
-        _half_binomial_det(alpha, 1), "reference: majority partition (sign conventional)"
+        _half_binomial_det(alpha), "reference: majority partition (sign conventional)"
     )
 
 

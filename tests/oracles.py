@@ -475,6 +475,29 @@ def det_permutation_expansion(m) -> Fraction:
     return total
 
 
+def det_fraction_elimination(m) -> Fraction:
+    """Determinant by plain Gaussian elimination over the rationals, with
+    the first nonzero entry of each column as pivot.  Slow, but it uses no
+    fraction-free division and no zero pattern."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    n = len(rows)
+    result = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            result = -result
+        p = rows[k][k]
+        result *= p
+        for i in range(k + 1, n):
+            factor = rows[i][k] / p
+            if factor:
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[k])]
+    return result
+
+
 def pfaffian_fraction_elimination(m) -> Fraction:
     """Pfaffian by skew Gaussian elimination over the rationals; row/column
     pair swaps carry the sign.  Slow, but it computes the sign directly."""

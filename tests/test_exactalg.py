@@ -12,7 +12,11 @@ from ppsign.errors import (
 )
 from ppsign.exactalg import Poly
 
-from oracles import det_permutation_expansion, pfaffian_fraction_elimination
+from oracles import (
+    det_fraction_elimination,
+    det_permutation_expansion,
+    pfaffian_fraction_elimination,
+)
 
 
 def rand_matrix(rng, n, lo=-9, hi=9):
@@ -87,6 +91,82 @@ def test_det_block_triangular_multiplicative():
         m = [list(row) + [0, 0, 0] for row in a]
         m += [fill[i] + list(b[i]) for i in range(3)]
         assert exactalg.det(m) == exactalg.det(a) * exactalg.det(b)
+
+
+def _block_sizes(rng, n):
+    """A composition of n with parts of 1..6; about a third are 1."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.choice([1, 1, 2, 3, 4, 5, 6]), n - sum(sizes)))
+    return sizes
+
+
+def _scrambled_block_triangular(rng, sizes, entry):
+    """A lower block-triangular matrix with the given diagonal block sizes,
+    entries drawn by entry(), its rows and columns then shuffled apart."""
+    n = sum(sizes)
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    m = [
+        [entry() if block_of[j] <= block_of[i] else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[m[i][j] for j in cols] for i in rows]
+
+
+def _structurally_singular(rng, n):
+    """k rows whose nonzeros all sit in the same k - 1 columns, so no
+    perfect matching of rows to nonzero columns exists; the other entries
+    are random, and rows and columns are shuffled."""
+    k = rng.randint(2, n - 1)
+    cols = set(rng.sample(range(n), k - 1))
+    m = rand_matrix(rng, n, 1, 9)
+    for i in rng.sample(range(n), k):
+        m[i] = [x if j in cols else 0 for j, x in enumerate(m[i])]
+    return m
+
+
+def _above_crossover_matrices(seed):
+    """Matrices of dimension 12..22, where det() splits along the zero
+    pattern first."""
+    rng = random.Random(seed)
+    nonzero = lambda: rng.choice([-3, -2, -1, 1, 2, 3, 7])  # noqa: E731
+    sparse = lambda: rng.choice([0, 0, -1, 1, 2])  # noqa: E731
+    for n in range(12, 23):
+        sizes = _block_sizes(rng, n)
+        yield _scrambled_block_triangular(rng, sizes, nonzero)
+        yield _scrambled_block_triangular(rng, sizes, sparse)
+        yield _scrambled_block_triangular(rng, [1] * n, nonzero)
+        yield _scrambled_block_triangular(rng, [n], nonzero)
+        yield _structurally_singular(rng, n)
+        m = _structurally_singular(rng, n)
+        m[0] = [Fraction(x, 3) for x in m[0]]
+        yield m
+        m = _scrambled_block_triangular(rng, sizes, nonzero)
+        for i in rng.sample(range(n), 3):
+            m[i] = [Fraction(x, rng.randint(1, 6)) for x in m[i]]
+        yield m
+
+
+def test_det_above_crossover_matches_fraction_elimination():
+    assert exactalg._BLOCK_SPLIT_DIM <= 12  # so every matrix below splits
+    values = []
+    for m in _above_crossover_matrices(21):
+        value = exactalg.det(m)
+        assert value == det_fraction_elimination(m)
+        values.append(value)
+    # the draws include nonzero values of both signs and structural zeros
+    assert any(v > 0 for v in values) and any(v < 0 for v in values)
+    assert values.count(0) >= 22
+
+
+def test_det_above_crossover_keeps_the_input_type():
+    for m in _above_crossover_matrices(22):
+        value = exactalg.det(m)
+        rational = any(isinstance(x, Fraction) for row in m for x in row)
+        assert type(value) is (Fraction if rational else int)
 
 
 def test_matmul_examples():

@@ -62,6 +62,16 @@ def test_tcpp_enum_examples():
     assert paths.tcpp_enum(3, 1).value == 1
 
 
+def test_determinant_routes_reach_large_boxes():
+    # the TC matrices split into parity blocks, and the one for 100 x 59
+    # has no perfect matching, so its 0 is structural; CSTC 162^3 is an
+    # 80 x 80 determinant
+    for a in (99, 100, 101):
+        for b in (59, 60):
+            assert paths.tcpp_enum(a, b).value == formulas.thm1_tcpp(a, b), (a, b)
+    assert paths.cstcpp_full_det(81) == formulas.thm4_cstcpp(81)
+
+
 def test_stc_free_start_sum_matches_pfaffian():
     # brute force over start choices and disjoint families, with the
     # per-start alternating weights the pool matrix encodes
