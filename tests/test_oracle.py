@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from ppsign import oracle, qseries
+from ppsign import formulas, oracle, qseries
 from ppsign.core import BoxDims, SymmetryClass, check_box_shape
 from ppsign.errors import ResourceLimitError, ShapeError, UnsupportedClassError
 from ppsign.oracle import WeightKind, WeightTag
@@ -70,6 +70,10 @@ def small_boxes(cls):
 WIDE_BOXES = {
     SC.SC: [(5, 2, 3), (2, 5, 3), (3, 2, 5), (6, 3, 2), (2, 6, 3), (3, 3, 6), (5, 4, 2)],
     SC.TC: [(5, 5, 2), (6, 6, 2)],
+    # past 4^3 the values written ahead of their cells, and the bounds they
+    # put on the cells between, act over longer stretches of rows
+    SC.TOTALLY_SYMMETRIC: [(5, 5, 5), (6, 6, 6)],
+    SC.CYCLIC: [(5, 5, 5)],
 }
 
 
@@ -93,13 +97,13 @@ NODE_PINS = [
     (SC.TC, (4, 4, 4), 1_062, 877),
     (SC.STC, (5, 5, 4), 1_229, 1_063),
     (SC.SC, (4, 4, 4), 7_651, 5_007),
-    (SC.CSTC, (4, 4, 4), 117, 86),
-    (SC.CSSC, (4, 4, 4), 682, 432),
-    (SC.TSSC, (4, 4, 4), 449, 104),
+    (SC.CSTC, (4, 4, 4), 117, 70),
+    (SC.CSSC, (4, 4, 4), 682, 191),
+    (SC.TSSC, (4, 4, 4), 449, 97),
     (SC.CYCLIC, (4, 4, 4), 1_999, 1_999),
     (SC.PLAIN, (3, 3, 3), 2_674, 2_674),
     (SC.SYMMETRIC, (4, 4, 4), 15_827, 15_827),
-    (SC.TOTALLY_SYMMETRIC, (4, 4, 4), 1_008, 1_008),
+    (SC.TOTALLY_SYMMETRIC, (4, 4, 4), 1_008, 773),
 ]
 
 
@@ -115,9 +119,9 @@ BENCHMARK_PINS = [
     (SC.STC, (7, 7, 4), 21_482, 18_912),
     (SC.SC, (6, 4, 4), 102_630, 59_103),
     (SC.SC, (4, 5, 5), 78_505, 35_310),
-    (SC.CSTC, (6, 6, 6), 3_653, 2_705),
-    (SC.CSSC, (6, 6, 6), 144_567, 35_805),
-    (SC.TSSC, (6, 6, 6), 47_828, 2_598),
+    (SC.CSTC, (6, 6, 6), 3_653, 1_095),
+    (SC.CSSC, (6, 6, 6), 144_567, 4_662),
+    (SC.TSSC, (6, 6, 6), 47_828, 1_342),
 ]
 
 
@@ -221,6 +225,22 @@ def test_cyclic_count_matches_product_formula():
     for r in (1, 2, 3, 4, 5):
         count = sum(1 for _ in oracle.enumerate_class(BoxDims(r, r, r), SC.CYCLIC))
         assert count == cspp(r)
+
+
+@pytest.mark.parametrize("cls, closed_form, budget", [
+    (SC.CSSC, formulas.thm7_csscpp, 300_000),
+    (SC.TSSC, formulas.thm5_tsscpp, 30_000),
+    (SC.CSTC, formulas.thm4_cstcpp, 40_000),
+])
+def test_signed_counts_match_closed_forms_with_sign(cls, closed_form, budget):
+    # the orbit-sign sum against the product formula, sign included, for
+    # alpha = 1..4; the 8^3 walk must finish inside the budget (CSSC 8^3
+    # visits 241,171 nodes where a walk that checks each count-forced cell
+    # only on reaching it visits 7,912,639)
+    for alpha in range(1, 5):
+        box = BoxDims(2 * alpha, 2 * alpha, 2 * alpha)
+        value = oracle.signed_count(box, cls, node_budget=budget).value
+        assert value == closed_form(alpha), alpha
 
 
 def test_signed_counts_alpha_three_boxes():

@@ -16,3 +16,40 @@ def test_package_uses_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def package_imports(name):
+    """The ppsign modules that module name imports directly."""
+    path = SOURCE / f"{name}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "ppsign":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])  # from .core import X, from ppsign.core import X
+            else:
+                found.update(alias.name for alias in node.names)  # from . import core
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("ppsign.")
+            )
+    return found
+
+
+def test_oracle_route_stays_independent():
+    # the brute-force oracle is the route the path pipelines and the closed
+    # forms are checked against, so it reaches no code of theirs, not even
+    # through core, and none of them calls it
+    reached, todo = set(), ["oracle"]
+    while todo:
+        for name in package_imports(todo.pop()) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert reached <= {"core", "errors"}
+    for name in ("paths", "formulas", "exactalg", "qseries"):
+        assert "oracle" not in package_imports(name), name
