@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
-from operator import ge
+from operator import add, ge, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -173,10 +173,11 @@ def satisfies(pp: PlanePartition, cls: SymmetryClass) -> bool:
 
     Raises ShapeError if the box cannot hold the class or the heights are
     not an a x b matrix.  Entries must lie in [0, c] and weakly decrease
-    along rows and columns; then every class condition is checked.
+    along rows and columns; then every class condition is checked, by
+    class_predicate on the row-major heights.
     """
     box = pp.box
-    check_box_shape(box, cls)
+    accept = class_predicate(box, cls)  # checks the box shape
     rows = pp.heights
     h = list(chain.from_iterable(rows))
     by_columns = list(chain.from_iterable(zip(*rows)))
@@ -188,46 +189,79 @@ def satisfies(pp: PlanePartition, cls: SymmetryClass) -> bool:
         return False
     if h and (h[0] > box.c or h[-1] < 0):  # the largest and the smallest entry
         return False
-    return satisfies_flat(h, box, cls)
+    return accept(h)
 
 
-def satisfies_flat(h: Sequence[int], box: BoxDims, cls: SymmetryClass) -> bool:
-    """The class predicate on the row-major height list h; the box shape is
-    not checked, and entries past the first a*b are ignored.
+@lru_cache(maxsize=None)
+def class_predicate(box: BoxDims, cls: SymmetryClass) -> Callable[[Sequence[int]], bool]:
+    """The class conditions compiled for one box and class: a function that
+    tells whether a row-major height list h meets them.  Entries past the
+    first a*b are ignored, and h is not checked to be a plane partition.
 
-    The checks are phrased on the height matrix: transposition invariance
-    is h == h^T, the cyclic condition is h[i][j] == #{k : h[j][k] >= i},
-    and complementation conditions pair opposite heights to sum to c.
+    Raises ShapeError if the box cannot hold the class.  The conditions are
+    phrased on the height matrix and read h through index tuples:
+    transposition invariance pairs h[i][j] with h[j][i], complementation
+    pairs each cell once with its partner, the two to sum to c (a cell
+    that is its own partner, to c / 2), and the cyclic condition makes
+    column j the conjugate of row j, h[i][j] == #{k : h[j][k] > i}.
     """
+    check_box_shape(box, cls)
     a, b, c = box.a, box.b, box.c
     n = a * b
-
+    equal = same = None
     if cls.is_symmetric:
-        # row i equals column i
-        if any(h[i * b:(i + 1) * b] != h[i:n:b] for i in range(a)):
-            return False
-    if cls.is_cyclic:
-        # column j is the conjugate of row j: its entry i counts the row
-        # entries above i.  Past the k smallest entries of the row, a - k
-        # remain, and they are above every i below the next one
-        for j in range(a):
-            conjugate: list[int] = []
-            for k, v in enumerate(sorted(h[j * a:(j + 1) * a])):
-                conjugate += [a - k] * (min(v, a) - len(conjugate))
-            if h[j:n:a] != conjugate + [0] * (a - len(conjugate)):
-                return False
+        upper = [(i * b + j, j * b + i) for i in range(a) for j in range(i + 1, b)]
+        if upper:
+            equal, same = (_getter(side) for side in zip(*upper))
+    # each row of a cubical box, and the column it must be the conjugate of
+    cyclic = tuple(
+        (_getter(range(j * a, (j + 1) * a)), _getter(range(j, n, a)))
+        for j in range(a if cls.is_cyclic else 0)
+    )
     if cls.complement == "point":
         # (i, j) and (a-1-i, b-1-j) sit at flat indices k and n-1-k
-        flat = h[:n]
-        if flat != [c - v for v in reversed(flat)]:
-            return False
+        partners = [(k, n - 1 - k) for k in range(n // 2 + n % 2)]
     elif cls.complement == "transpose":
-        # (i, j) and (a-1-j, a-1-i) sit at flat indices k = i*a+j and
-        # n-1-(j*a+i), so row i pairs with column i of the reversed list
-        rev = h[n - 1::-1] if n else []
-        if h[:n] != [c - v for i in range(a) for v in rev[i::a]]:
+        # (i, j) and (a-1-j, a-1-i) sit at flat indices i*a+j and n-1-(j*a+i)
+        partners = [(k, n - 1 - (k % a) * a - k // a) for k in range(n)]
+        partners = [(k, p) for k, p in partners if k <= p]
+    else:
+        partners = []
+    first = second = None
+    if partners:
+        first, second = (_getter(side) for side in zip(*partners))
+    full = (c,) * len(partners)
+
+    def predicate(h: Sequence[int]) -> bool:
+        if equal is not None and equal(h) != same(h):
             return False
-    return True
+        for row, column in cyclic:
+            if column(h) != _conjugate(row(h)):
+                return False
+        return first is None or tuple(map(add, first(h), second(h))) == full
+
+    return predicate
+
+
+def _getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """h -> the tuple of h at indices; itemgetter gives a tuple only from
+    two indices on."""
+    indices = tuple(indices)
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda h: tuple(h[i] for i in indices)
+
+
+@lru_cache(maxsize=1 << 14)  # every row of a cube up to 8^3: C(16, 8) = 12,870
+def _conjugate(row: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry i counts the entries of row above i, for i < len(row): past the
+    k smallest entries, len(row) - k remain, and they are above every i
+    below the next one."""
+    a = len(row)
+    conjugate: list[int] = []
+    for k, v in enumerate(sorted(row)):
+        conjugate += [a - k] * (min(v, a) - len(conjugate))
+    return tuple(conjugate + [0] * (a - len(conjugate)))
 
 
 # ---------------------------------------------------------------------------

@@ -72,17 +72,26 @@ def matmul(a: MatrixLike, b: MatrixLike) -> list[list[Rational]]:
 def is_skew(m: MatrixLike) -> bool:
     rows = _as_rows(m)
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        return False
+    return all(len(r) == n for r in rows) and _is_skew_square(rows)
+
+
+def _is_skew_square(rows: list[list[Rational]]) -> bool:
+    n = len(rows)
     return all(rows[i][j] == -rows[j][i] for i in range(n) for j in range(i, n))
+
+
+def _is_integral(row: Sequence[Rational]) -> bool:
+    """Whether every entry is an int, so no rescaling is needed."""
+    return all(isinstance(x, int) for x in row)
 
 
 def det(m: MatrixLike) -> Rational:
     """Exact determinant via fraction-free Bareiss elimination.
 
-    Integer input yields an integer; rational input is row-scaled to
-    integers first so every intermediate pivot step stays integral; a step
-    that leaves the integers raises InternalConsistencyError.  From
+    Integer input yields an integer; a row with a Fraction in it is scaled
+    to integers first (an all-int row as it is) so every intermediate
+    pivot step stays integral; a step that leaves the integers raises
+    InternalConsistencyError.  From
     dimension _BLOCK_SPLIT_DIM on, the zero pattern is used first: the
     determinant is the product of the diagonal blocks of the matrix's
     block-triangular form, each found by Bareiss, times the sign of the
@@ -96,13 +105,13 @@ def det(m: MatrixLike) -> Rational:
         return 1
 
     scale = 1
-    work: list[list[int]] = []
     for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale *= lcm
-        work.append([int(x * lcm) for x in row])
+        if not _is_integral(row):
+            lcm = math.lcm(*(x.denominator for x in row))
+            scale *= lcm
+            row[:] = [int(x * lcm) for x in row]
 
-    value = _bareiss(work) if n < _BLOCK_SPLIT_DIM else _block_triangular_det(work)
+    value = _bareiss(rows) if n < _BLOCK_SPLIT_DIM else _block_triangular_det(rows)
     return value if scale == 1 else Fraction(value, scale)
 
 
@@ -282,8 +291,9 @@ def _skew_eliminate(a: list[list[int]]) -> int:
 def pfaffian(m: MatrixLike) -> Rational:
     """Pfaffian of a skew-symmetric matrix of even dimension.
 
-    The whole matrix is first scaled by one common denominator L (Pf(L M) =
-    L^(n/2) Pf(M); a row-wise scaling would break skewness).  Then a
+    A matrix with a Fraction in it is first scaled by one common
+    denominator L (Pf(L M) = L^(n/2) Pf(M); a row-wise scaling would break
+    skewness); an all-int one is eliminated as it is.  Then a
     fraction-free skew elimination pivots on a[k][k+1] for k = 0, 2, 4, ...
     and replaces every a[i][j] past the pivot pair by
     (p a[i][j] - a[k][i] a[k+1][j] + a[k][j] a[k+1][i]) / p_prev, with p the
@@ -294,7 +304,8 @@ def pfaffian(m: MatrixLike) -> Rational:
     A zero pivot is replaced by swapping index k+1 with a later one, which
     negates Pf; when row k has no nonzero entry left, Pf = 0.
     For dimensions up to 8 the result is cross-checked against the direct
-    perfect-matching sum, and a disagreement raises InternalConsistencyError.
+    perfect-matching sum, taken before the elimination overwrites the
+    rows, and a disagreement raises InternalConsistencyError.
     """
     rows = _as_rows(m)
     n = len(rows)
@@ -302,17 +313,20 @@ def pfaffian(m: MatrixLike) -> Rational:
         raise DimensionError("pfaffian needs a square matrix")
     if n % 2 != 0:
         raise DimensionError(f"pfaffian needs even dimension, got {n}")
-    if not is_skew(rows):
+    if not _is_skew_square(rows):
         raise InvalidInputError("matrix is not skew-symmetric")
     if n == 0:
         return 1
 
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    value = _skew_eliminate([[int(x * scale) for x in row] for row in rows])
-    result = value if scale == 1 else Fraction(value, scale ** (n // 2))
-    if n <= _PFAFFIAN_CHECK_DIM:
-        if result != _pfaffian_matching_sum(rows):
-            raise InternalConsistencyError("pfaffian disagrees with definition sum")
+    expected = _pfaffian_matching_sum(rows) if n <= _PFAFFIAN_CHECK_DIM else None
+    if all(map(_is_integral, rows)):
+        result: Rational = _skew_eliminate(rows)
+    else:
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        value = _skew_eliminate([[int(x * scale) for x in row] for row in rows])
+        result = value if scale == 1 else Fraction(value, scale ** (n // 2))
+    if expected is not None and result != expected:
+        raise InternalConsistencyError("pfaffian disagrees with definition sum")
     return result
 
 

@@ -304,8 +304,11 @@ def mrr_det(mu: Rational, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(d), value
 
 
-def _binom_poly(top: Rational, k: int) -> Fraction:
-    """binom(top, k) for rational top via the falling-factorial polynomial."""
+def _binom_poly(top: Rational, k: int) -> Rational:
+    """binom(top, k) for rational top via the falling-factorial polynomial;
+    an int, from qseries.binom, when top is integral."""
+    if top.denominator == 1:
+        return binom(int(top), k)
     if k < 0:
         return Fraction(0)
     value = Fraction(1)

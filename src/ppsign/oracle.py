@@ -71,22 +71,25 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
     interval [lo, hi] cut from [0, c] by its bounds and counts (see
     _compile).  A choice cell keeps its hi on the explicit stack while h
     holds its current value.  A forced cell (at most one candidate) is
-    settled inline on the way down; one whose every rule was moved to its
-    root copies offset + factor * h[root] and needs no check.  A forced
-    cell whose plan carries writes also sets h[r] for later cells r whose
+    settled inline on the way down.  A run of cells whose every rule was
+    moved to a root is one step: each cell of it copies offset + factor *
+    h[root], all in one pass, since no root lies inside the run, and the
+    step counts one node per cell against the budget.  A forced cell
+    whose plan carries writes also sets h[r] for later cells r whose
     counts are complete (_write_ahead), and is a dead end if one of them
     breaks a rule decided by then; the cells before r read h[r] as a
     bound, and r still checks every rule on its own visit.  An exhausted
     cell backs up straight to back[idx], the last earlier choice cell,
     since every forced cell in between has no second value.  Each leaf
-    gets the class conditions, core.satisfies_flat.
+    gets every class condition through core.class_predicate, fetched once
+    before the walk starts.
     """
-    core.check_box_shape(box, cls)
+    accept = core.class_predicate(box, cls)  # checks the box shape
     n = box.a * box.b
     c = box.c
     h = [0] * n + [c]  # h[n] is the sentinel c
     if n == 0:
-        if core.satisfies_flat(h, box, cls):
+        if accept(h):
             yield h
         return
     plan = _compile(box, cls)
@@ -95,26 +98,26 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
 
     back = []
     choice = -1
-    for idx, (_, _, _, _, forced) in enumerate(plan):
+    for idx, step in enumerate(plan):
         back.append(choice)
-        if not forced:
+        if step is not None and not step[4]:
             choice = idx
     last = n - 1
     top = [0] * n  # top[idx]: the largest candidate of choice cell idx
     nodes = 0
     idx = 0
     while True:
-        lows, highs, counts, single, forced = plan[idx]
-        if single:  # a copy: the rules on its root keep it in range
-            offset, factor, index = single
-            h[idx] = offset + factor * h[index]
-            nodes += 1
+        lows, highs, counts, copies, forced = plan[idx]
+        if copies:  # the rules on their roots keep them in range
+            stop = idx + len(copies)
+            h[idx:stop] = [offset + factor * h[index] for offset, factor, index in copies]
+            nodes += stop - idx
             if nodes > node_budget:
                 raise _budget_error(node_budget, cls, box)
-            if idx < last:
-                idx += 1
+            if stop <= last:
+                idx = stop
                 continue
-            if core.satisfies_flat(h, box, cls):
+            if accept(h):
                 yield h
             idx = back[idx]
             if idx < 0:
@@ -151,7 +154,7 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
                         if idx < last:
                             idx += 1
                             continue
-                        if core.satisfies_flat(h, box, cls):
+                        if accept(h):
                             yield h
                 idx = back[idx]
                 if idx < 0:
@@ -169,7 +172,7 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
                 raise _budget_error(node_budget, cls, box)
             if idx < last:
                 break
-            if core.satisfies_flat(h, box, cls):
+            if accept(h):
                 yield h
             h[idx] += 1
         idx += 1
@@ -182,7 +185,7 @@ def _budget_error(node_budget: int, cls: SymmetryClass, box: BoxDims) -> Resourc
 
 
 def _compile(box: BoxDims, cls: SymmetryClass):
-    """Per cell (lows, highs, counts, single, forced), row-major; None if
+    """Per cell (lows, highs, counts, copies, forced), row-major; None if
     the class is empty.  forced is False for a choice cell and otherwise
     True, or the writes below.
 
@@ -208,15 +211,19 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     m == free_size.  A count past the root stays on its cell, next to the
     cell's own value as a bound on both sides.  A cell that is not a root,
     or a root with a count over a complete row (free_size -1), is forced:
-    it has at most one candidate.  A forced cell left with no rule is
-    single, its own value (offset, factor, root), and is not checked.
+    it has at most one candidate.  A forced cell left with no rule is a
+    copy of its own value (offset, factor, root), and is not checked.  A
+    maximal run of consecutive copies is one entry at its first cell, with
+    copies the tuple of their values; the cells after it in the run get
+    None, since the walk steps over the whole run.  A root is never a copy,
+    so no copy in a run reads another.
 
     A forced cell r whose counts over complete rows end at cell e, with
     e + 1 < r, is also written ahead.  Cell e + 1 starts a row below row 0
     of a cyclic class, which a count over row 0 fixes, so it is forced; its
     forced field becomes the tuple of writes (r, lows, highs, counts): r's
     rules decided once cells 0..e + 1 are set.  Entering it, the walk
-    sets h[r] from them, or finds a dead end (a single cell there is
+    sets h[r] from them, or finds a dead end (a copy cell there is
     checked against its own value rather than copied).  By monotonicity
     every cell x with e < x < r that lies left of r in its row or above it
     in its column is at least h[r]: that bound joins the write's highs
@@ -343,15 +350,20 @@ def _compile(box: BoxDims, cls: SymmetryClass):
         elif counts[idx]:  # a count past the root stays, next to the cell's own value
             entry = ((own,), (own,), tuple(counts[idx]), None, True)
         else:
-            entry = ((), (), (), own, True)
+            entry = ((), (), (), (own,), True)
         if ahead[idx]:
-            low, high, cell_counts, single, forced = entry
+            low, high, cell_counts, copies, forced = entry
             if not forced:
                 raise InternalConsistencyError(f"writes ahead on choice cell {idx}")
-            if single:  # checked here, where it writes ahead, rather than copied
-                low = high = (single,)
+            if copies:  # checked here, where it writes ahead, rather than copied
+                low = high = copies
             entry = (low, high, cell_counts, None, tuple(ahead[idx]))
         plan.append(entry)
+    for idx in range(n - 2, -1, -1):  # each run of copies onto its first cell
+        following = plan[idx + 1]
+        if plan[idx][3] and following[3]:
+            plan[idx] = ((), (), (), plan[idx][3] + following[3], True)
+            plan[idx + 1] = None
     return plan
 
 

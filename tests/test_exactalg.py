@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ppsign import exactalg
 from ppsign.errors import (
     DimensionError,
+    InternalConsistencyError,
     InvalidInputError,
     ResourceLimitError,
 )
@@ -330,6 +331,62 @@ def test_pfaffian_of_block_diagonal_is_block_product_with_sign():
             assert pf % entry == 0
             assert pf == pfaffian_fraction_elimination(m) == entry * exactalg.pfaffian(rest)
             assert exactalg.pfaffian(_swap01(m)) == -pf
+
+
+def _whole_fraction_forms(m):
+    """m with every entry a Fraction of denominator 1, and with every
+    other row so (int and Fraction rows mixed)."""
+    whole = [[Fraction(x) for x in row] for row in m]
+    return [whole, [whole[i] if i % 2 else list(row) for i, row in enumerate(m)]]
+
+
+def test_integer_matrices_stay_integer():
+    # all-int input skips the rescaling; a Fraction with denominator 1
+    # scales by 1, so both give the same int, and no input is modified
+    rng = random.Random(31)
+    for n in (1, 2, 5, 11, 12, 16):  # below and above the block split
+        m = rand_matrix(rng, n)
+        kept = [row[:] for row in m]
+        value = exactalg.det(m)
+        assert type(value) is int and value == det_fraction_elimination(m)
+        assert m == kept
+        for form in _whole_fraction_forms(m):
+            assert type(exactalg.det(form)) is int and exactalg.det(form) == value
+    for n in (2, 4, 8, 10, 12):  # with the matching check and past it
+        m = rand_skew(rng, n)
+        kept = [row[:] for row in m]
+        pf = exactalg.pfaffian(m)
+        assert type(pf) is int and pf == pfaffian_fraction_elimination(m)
+        assert m == kept
+        for form in _whole_fraction_forms(m):
+            assert type(exactalg.pfaffian(form)) is int and exactalg.pfaffian(form) == pf
+
+
+def test_pfaffian_rejects_matrices_that_are_not_skew():
+    m = rand_skew(random.Random(32), 6)
+    for i, j in ((0, 5), (3, 2), (4, 4)):  # above, below and on the diagonal
+        bad = [row[:] for row in m]
+        bad[i][j] += 1
+        for form in (bad, [[Fraction(x, 2) for x in row] for row in bad]):
+            assert not exactalg.is_skew(form)
+            with pytest.raises(InvalidInputError):
+                exactalg.pfaffian(form)
+
+
+def test_flipped_skew_elimination_trips_the_matching_check(monkeypatch):
+    real = exactalg._skew_eliminate
+    monkeypatch.setattr(exactalg, "_skew_eliminate", lambda a: -real(a))
+    rng = random.Random(33)
+    for n in (2, 4, 6, 8):
+        m = rand_skew(rng, n)
+        while pfaffian_fraction_elimination(m) == 0:
+            m = rand_skew(rng, n)
+        for form in (m, *_whole_fraction_forms(m), [[Fraction(x, 3) for x in row] for row in m]):
+            with pytest.raises(InternalConsistencyError):
+                exactalg.pfaffian(form)
+    # past dimension 8 nothing re-derives the value
+    m = rand_skew(rng, 10)
+    assert exactalg.pfaffian(m) == -pfaffian_fraction_elimination(m) != 0
 
 
 def test_sum_of_minors_trivial_and_budget():

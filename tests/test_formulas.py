@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -128,7 +129,23 @@ def test_mrr_det():
             lhs, rhs = formulas.mrr_det(mu, n)
             assert lhs == rhs, (mu, n)
     lhs, rhs = formulas.mrr_det(Fraction(3, 2), 4)
-    assert lhs == rhs
+    assert lhs == rhs == Fraction(9009, 8)
+
+
+def test_binom_poly_is_the_falling_factorial_quotient():
+    # an integral top, int or Fraction, goes to qseries.binom: negative
+    # tops and 0 <= top < k included; a half-integral top keeps the
+    # polynomial over Fraction
+    def quotient(top, k):
+        return math.prod(top - t for t in range(k)) / Fraction(math.factorial(k)) if k >= 0 else 0
+
+    for m in range(-6, 9):
+        for k in range(-1, 9):
+            for top in (m, Fraction(m)):
+                assert formulas._binom_poly(top, k) == quotient(m, k), (top, k)
+            half = Fraction(2 * m + 1, 2)
+            value = formulas._binom_poly(half, k)
+            assert type(value) is Fraction and value == quotient(half, k), (half, k)
 
 
 def test_mtilde_recurrence():

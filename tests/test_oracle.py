@@ -136,6 +136,58 @@ def test_walk_node_counts_at_benchmark_scale(cls, box, reference, nodes):
     assert visits_exactly(box, cls, nodes)
 
 
+def members_before_stop(box, cls, budget):
+    """The heights the walk yields on a node budget, and whether it stopped."""
+    members = []
+    try:
+        for pp in oracle.enumerate_class(box, cls, node_budget=budget):
+            members.append(pp.heights)
+    except ResourceLimitError:
+        return members, True
+    return members, False
+
+
+def copy_runs(box, cls):
+    """(start, stop) of each run of cells the walk fills in one step."""
+    plan = oracle._compile(box, cls)
+    return [(idx, idx + len(step[3])) for idx, step in enumerate(plan) if step and step[3]]
+
+
+TAIL_RUN_PINS = [pin for pin in NODE_PINS if pin[0] in (SC.TC, SC.STC, SC.SC)]
+
+
+@pytest.mark.parametrize("cls, box, reference, nodes", TAIL_RUN_PINS, ids=pin_ids(TAIL_RUN_PINS))
+def test_budget_stop_inside_the_tail_run_of_copies(cls, box, reference, nodes):
+    # every cell past the last choice copies a root, and the walk's last
+    # nodes are that run on the way to the last member: a budget short by
+    # any part of the run stops before that member, after all the others
+    box = BoxDims(*box)
+    start, stop = copy_runs(box, cls)[-1]
+    assert stop == box.a * box.b and stop - start > 1
+    full, stopped = members_before_stop(box, cls, nodes)
+    assert not stopped
+    for short in range(1, stop - start + 1):
+        assert members_before_stop(box, cls, nodes - short) == (full[:-1], True)
+
+
+def test_budget_stop_inside_an_interior_run_of_copies():
+    # STC 7x7x6 copies cells 12..15 between choice cells, and the path to
+    # each of the first two members passes through them, so the budgets
+    # up to the second member's node count include some that end mid-run
+    box, cls = BoxDims(7, 7, 6), SC.STC
+    assert (12, 16) in copy_runs(box, cls)
+    full, stopped = members_before_stop(box, cls, 152_082)
+    assert not stopped and len(full) > 2
+    yielded = 0
+    for budget in range(400):
+        members, stopped = members_before_stop(box, cls, budget)
+        assert stopped, budget
+        assert members == full[:len(members)], budget
+        assert len(members) >= yielded
+        yielded = len(members)
+    assert yielded == 2
+
+
 def test_sc_count_is_invariant_under_side_permutation():
     # the SC condition treats the three axes alike, so |count| depends on
     # the sides alone, not their order; the walk moves rules onto roots by
