@@ -23,7 +23,7 @@ from itertools import combinations, product
 from typing import Callable
 
 from . import exactalg, formulas, oracle, paths, qseries
-from .core import BoxDims, SignedCount, SymmetryClass
+from .core import HALF_FULL_REFERENCE, MAJORITY_REFERENCE, BoxDims, SignedCount, SymmetryClass
 from .errors import (
     DimensionError,
     DomainError,
@@ -69,8 +69,9 @@ def _check_args(args: argparse.Namespace) -> None:
 
 
 def _finish(records: list[dict], args) -> int:
-    """Print the records (or write them to --out); exit 1 on any MISMATCH or
-    FAIL, else 3 under --strict if a budget skipped anything, else 0."""
+    """Print the records (or write them to --out); exit 2 if --out cannot be
+    written, else 1 on any MISMATCH or FAIL, else 3 under --strict if a
+    budget skipped anything, else 0."""
     if args.format == "json":
         text = json.dumps(records, sort_keys=True, indent=2)
     elif args.format == "tsv":
@@ -80,8 +81,12 @@ def _finish(records: list[dict], args) -> int:
     else:
         text = "\n".join("  ".join(f"{k}={v}" for k, v in sorted(r.items())) for r in records)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(text)
     outcomes = {r.get(key) for r in records for key in ("status", "verdict", "result")}
@@ -140,7 +145,6 @@ def _cube(alpha: int) -> BoxDims:
 # the lattices shared by several entries, as (sweep, box, params)
 _CUBES = (("alpha", 1, 1),), _cube, lambda box: (box.a // 2,)
 _STC_SWEEP, _STC_PARAMS = (("alpha", 1, 1), ("b", 0, 1)), lambda box: (box.a // 2, box.c // 2)
-_HALF_FULL = "reference: half-full partition"
 _ALL_ROUTES = ("oracle", "lgv", "formula")
 
 # Each route looks its function up on the module when it runs, so that a
@@ -151,13 +155,13 @@ _SPECS = {
         SymmetryClass.TC, (("a", 1, 1), ("b", 0, 1)),
         lambda a, b: BoxDims(a, a, 2 * b), lambda box: (box.a, box.c // 2), _ALL_ROUTES,
         lgv=lambda *p: paths.tcpp_enum(*p),
-        formula=lambda *p: formulas.thm1_tcpp(*p), convention=_HALF_FULL,
+        formula=lambda *p: formulas.thm1_tcpp(*p), convention=HALF_FULL_REFERENCE,
     ),
     "stc": ClassSpec(
         SymmetryClass.STC, _STC_SWEEP, lambda alpha, b: BoxDims(2 * alpha, 2 * alpha, 2 * b),
         _STC_PARAMS, ("lgv", "formula", "oracle"),
         lgv=lambda *p: paths.stcpp_enum(*p),
-        formula=lambda *p: formulas.thm2_stcpp(*p), convention=_HALF_FULL,
+        formula=lambda *p: formulas.thm2_stcpp(*p), convention=HALF_FULL_REFERENCE,
         oracle_max_volume=1000,
     ),
     "stc-odd": ClassSpec(
@@ -168,7 +172,7 @@ _SPECS = {
     "cstc": ClassSpec(
         SymmetryClass.CSTC, *_CUBES, _ALL_ROUTES,
         lgv=lambda *p: paths.cstcpp_enum(*p),
-        formula=lambda *p: formulas.thm4_cstcpp(*p), convention="reference: majority partition",
+        formula=lambda *p: formulas.thm4_cstcpp(*p), convention=MAJORITY_REFERENCE,
     ),
     "tssc": ClassSpec(
         SymmetryClass.TSSC, *_CUBES, _ALL_ROUTES,
@@ -178,7 +182,7 @@ _SPECS = {
     "sc": ClassSpec(
         SymmetryClass.SC, (("a", 2, 2), ("b", 2, 2), ("c", 2, 2)), BoxDims, astuple, _ALL_ROUTES,
         lgv=lambda *p: paths.scpp_enum(*p),
-        formula=lambda *p: formulas.thm6_scpp(*p), convention=_HALF_FULL,
+        formula=lambda *p: formulas.thm6_scpp(*p), convention=HALF_FULL_REFERENCE,
     ),
     "sc-odd": ClassSpec(
         SymmetryClass.SC, (("a", 2, 2), ("b", 1, 2), ("c", 1, 2)), BoxDims, astuple,

@@ -345,6 +345,11 @@ def orbit_decomposition(box: BoxDims, cls: SymmetryClass) -> OrbitDecomposition:
     return OrbitDecomposition(box, cls, tuple(orbits))
 
 
+# the sign labels of the two reference partitions below
+HALF_FULL_REFERENCE = "reference: half-full partition"
+MAJORITY_REFERENCE = "reference: majority partition"
+
+
 def reference_partition(box: BoxDims, cls: SymmetryClass) -> PlanePartition:
     """The class member assigned weight +1.
 

@@ -168,9 +168,10 @@ def _forced_factor(alpha: int, b_parity: int) -> tuple[Poly, Poly | None, int]:
     return factor, linear, expected
 
 
-def thm3_structure_check(
-    alpha: int, extra_samples: int = 3
-) -> list[StructureCase]:
+_STRUCTURE_EXTRA_SAMPLES = 3  # samples past the degree bound, to show it holds
+
+
+def thm3_structure_check(alpha: int) -> list[StructureCase]:
     """Interpolate the odd-side Pfaffian pipeline in b (per parity), divide
     out the forced product, and report divisibility plus quotient degree."""
     if alpha < 1:
@@ -179,11 +180,11 @@ def thm3_structure_check(
     for b_parity in (0, 1):
         factor, linear, expected = _forced_factor(alpha, b_parity)
         degree_bound = factor.degree + expected
-        count = degree_bound + 1 + extra_samples
+        count = degree_bound + 1 + _STRUCTURE_EXTRA_SAMPLES
         samples = [b_parity + 2 * t for t in range(count)]
         points = [(b, paths.stcpp_odd_enum(alpha, b).value) for b in samples]
         poly = exactalg.interpolate(points)
-        if poly.degree >= count - extra_samples:
+        if poly.degree >= count - _STRUCTURE_EXTRA_SAMPLES:
             raise NeedsMoreSamplesError(
                 f"pipeline polynomial degree {poly.degree} not pinned by "
                 f"{count} samples"
@@ -339,11 +340,14 @@ def mtilde_recurrence_residual(alpha: int, b: int, i: int, j: int) -> Fraction:
     return Fraction(lhs) - rhs
 
 
-def mtilde_combination_poly(alpha: int, t: int, j: int, extra: int = 4) -> Poly:
+_MTILDE_EXTRA_SAMPLES = 4  # samples past the degree bound
+
+
+def mtilde_combination_poly(alpha: int, t: int, j: int) -> Poly:
     """The row combination used in the half-integer divisibility step,
     interpolated as an exact polynomial in b (sampled at even b)."""
     degree_bound = 2 * (t + 1) + 2 * j - 3
-    samples = [2 * s for s in range(degree_bound + 1 + extra)]
+    samples = [2 * s for s in range(degree_bound + 1 + _MTILDE_EXTRA_SAMPLES)]
 
     def combo(b: int) -> Fraction:
         value = Fraction(paths.mtilde_entry(alpha, b, t + 1, j))

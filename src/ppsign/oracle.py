@@ -12,7 +12,10 @@ non-partitions out.  The rules are compiled once per walk into flat-list
 indices, and each is decided at the choice cell that fixes its last
 unknown rather than at the forced cell it constrains (forward checking);
 a value that counts over complete rows fix is written at the start of
-the next row, where it is checked and bounds the cells in between.
+the next row, where it is checked and bounds the cells in between.  Every
+cell but a copy runs a tuple of interval evaluations, its own and the
+values it writes ahead, through one evaluator, and every value tried goes
+down one path for the node count, the budget, the leaf and the back-up.
 tests/oracles.py keeps the unpruned walk that reads the rules off a matrix
 of rows at every node as the reference: the same members in the same
 order, in no more nodes.
@@ -67,22 +70,21 @@ def enumerate_class(
 def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[int]]:
     """Yield every member as one reused row-major height list, lexicographically.
 
-    A node is one value tried at one cell; every cell's candidates form an
-    interval [lo, hi] cut from [0, c] by its bounds and counts (see
-    _compile).  A choice cell keeps its hi on the explicit stack while h
-    holds its current value.  A forced cell (at most one candidate) is
-    settled inline on the way down.  A run of cells whose every rule was
-    moved to a root is one step: each cell of it copies offset + factor *
-    h[root], all in one pass, since no root lies inside the run, and the
-    step counts one node per cell against the budget.  A forced cell
-    whose plan carries writes also sets h[r] for later cells r whose
-    counts are complete (_write_ahead), and is a dead end if one of them
-    breaks a rule decided by then; the cells before r read h[r] as a
-    bound, and r still checks every rule on its own visit.  An exhausted
-    cell backs up straight to back[idx], the last earlier choice cell,
-    since every forced cell in between has no second value.  Each leaf
-    gets every class condition through core.class_predicate, fetched once
-    before the walk starts.
+    A node is one value tried at one cell.  A checked cell runs its
+    evaluations (see _compile) in one loop: each cuts [0, c] to an interval
+    [lo, hi] by its bounds and counts and sets h[cell] = lo, and an empty
+    one makes the cell a dead end, which backs up with no node.  The cell
+    keeps its own interval's top in top[idx]; a forced cell's interval
+    holds at most one value.  Every value then goes down one path that
+    counts the node, checks the budget, tests the leaf and, once the cell
+    is exhausted, backs up straight to back[idx], the last earlier choice
+    cell, since every forced cell in between has no second value.  A run
+    of copies is one step: each cell of it is offset + factor * h[root],
+    all in one pass (no root lies inside the run), counting one node per
+    cell.  It keeps its own tail: every leaf of TC, STC and SC ends such a
+    run, and the per-value path costs more there.  Each leaf gets every
+    class condition through core.class_predicate, fetched once before the
+    walk starts.
     """
     accept = core.class_predicate(box, cls)  # checks the box shape
     n = box.a * box.b
@@ -100,14 +102,14 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
     choice = -1
     for idx, step in enumerate(plan):
         back.append(choice)
-        if step is not None and not step[4]:
+        if step is not None and step[2]:
             choice = idx
     last = n - 1
-    top = [0] * n  # top[idx]: the largest candidate of choice cell idx
+    top = [0] * n  # top[idx]: the last candidate of cell idx
     nodes = 0
     idx = 0
     while True:
-        lows, highs, counts, copies, forced = plan[idx]
+        evals, copies, _ = plan[idx]
         if copies:  # the rules on their roots keep them in range
             stop = idx + len(copies)
             h[idx:stop] = [offset + factor * h[index] for offset, factor, index in copies]
@@ -124,43 +126,30 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
                 return
             h[idx] += 1
         else:
-            lo = 0
-            hi = c
-            for offset, factor, index in lows:
-                v = offset + factor * h[index]
-                if v > lo:
-                    lo = v
-            for offset, factor, index in highs:
-                v = offset + factor * h[index]
-                if v < hi:
-                    hi = v
-            for start, stop, step, t, free_size, offset, factor in counts:
-                m = sum(map(t.__le__, h[start:stop:step]))
-                v = offset + factor * m
-                if v > lo and (factor > 0 or m != free_size):
-                    lo = v
-                if v < hi and (factor < 0 or m != free_size):
-                    hi = v
-            if not forced:
-                h[idx] = lo
-                top[idx] = hi
-            else:
-                if lo <= hi:  # the one candidate
-                    h[idx] = lo
-                    if forced is True or _write_ahead(h, c, forced):
-                        nodes += 1
-                        if nodes > node_budget:
-                            raise _budget_error(node_budget, cls, box)
-                        if idx < last:
-                            idx += 1
-                            continue
-                        if accept(h):
-                            yield h
-                idx = back[idx]
-                if idx < 0:
-                    return
-                h[idx] += 1
-        while True:  # choice cell idx at value h[idx]
+            for cell, lows, highs, counts in evals:
+                lo = 0
+                hi = c
+                for offset, factor, index in lows:
+                    v = offset + factor * h[index]
+                    if v > lo:
+                        lo = v
+                for offset, factor, index in highs:
+                    v = offset + factor * h[index]
+                    if v < hi:
+                        hi = v
+                for start, stop, step, t, free_size, offset, factor in counts:
+                    m = sum(map(t.__le__, h[start:stop:step]))
+                    v = offset + factor * m
+                    if v > lo and (factor > 0 or m != free_size):
+                        lo = v
+                    if v < hi and (factor < 0 or m != free_size):
+                        hi = v
+                if lo > hi:  # a dead end: h[idx] >= 0 > top[idx] backs up with no node
+                    top[idx] = -1
+                    break
+                h[cell] = lo
+                top[cell] = hi  # a later cell r sets its own again on its visit
+        while True:  # cell idx at value h[idx]
             if h[idx] > top[idx]:  # exhausted: back up to the last choice
                 idx = back[idx]
                 if idx < 0:
@@ -185,9 +174,11 @@ def _budget_error(node_budget: int, cls: SymmetryClass, box: BoxDims) -> Resourc
 
 
 def _compile(box: BoxDims, cls: SymmetryClass):
-    """Per cell (lows, highs, counts, copies, forced), row-major; None if
-    the class is empty.  forced is False for a choice cell and otherwise
-    True, or the writes below.
+    """Per cell (evals, copies, choice), row-major; None if the class is
+    empty.  A checked cell has copies () and evals a tuple of evaluations
+    (cell, lows, highs, counts), its own first and then the writes below;
+    choice tells a choice cell from a forced one.  A run of copies has
+    evals () and copies its values.
 
     A cell's rules: it is at most the cell above and the cell to its left
     (the sentinel h[n] = c at an edge); a source forces it to equal its
@@ -213,18 +204,18 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     or a root with a count over a complete row (free_size -1), is forced:
     it has at most one candidate.  A forced cell left with no rule is a
     copy of its own value (offset, factor, root), and is not checked.  A
-    maximal run of consecutive copies is one entry at its first cell, with
-    copies the tuple of their values; the cells after it in the run get
-    None, since the walk steps over the whole run.  A root is never a copy,
+    maximal run of consecutive copies is one entry at its first cell; the
+    cells after it in the run get None, since the walk steps over the
+    whole run.  A root is never a copy,
     so no copy in a run reads another.
 
     A forced cell r whose counts over complete rows end at cell e, with
     e + 1 < r, is also written ahead.  Cell e + 1 starts a row below row 0
     of a cyclic class, which a count over row 0 fixes, so it is forced; its
-    forced field becomes the tuple of writes (r, lows, highs, counts): r's
-    rules decided once cells 0..e + 1 are set.  Entering it, the walk
-    sets h[r] from them, or finds a dead end (a copy cell there is
-    checked against its own value rather than copied).  By monotonicity
+    evals go on with (r, lows, highs, counts): r's rules decided once cells
+    0..e + 1 are set.  Entering it, the walk sets h[r] from them, or finds
+    a dead end; a copy cell there is checked, its own value bounding it on
+    both sides, so that it can carry the writes.  By monotonicity
     every cell x with e < x < r that lies left of r in its row or above it
     in its column is at least h[r]: that bound joins the write's highs
     when x's root is set by then, and goes to x's root, which reads h[r],
@@ -342,57 +333,25 @@ def _compile(box: BoxDims, cls: SymmetryClass):
 
     plan = []
     for idx, own in enumerate(exprs):
+        choice = False
         if own[2] == idx:  # a root: the moved rules, its own among them
             low = tuple((o, f, k) for (f, k), o in lows[idx].items() if f or o > 0)
             high = tuple((o, f, k) for (f, k), o in highs[idx].items() if f or o < c)
-            forced = any(count[4] == -1 for count in counts[idx])
-            entry = (low, high, tuple(counts[idx]), None, forced)
-        elif counts[idx]:  # a count past the root stays, next to the cell's own value
-            entry = ((own,), (own,), tuple(counts[idx]), None, True)
+            choice = all(count[4] != -1 for count in counts[idx])
+        elif counts[idx] or ahead[idx]:  # checked: its own value bounds it on both sides
+            low = high = (own,)
         else:
-            entry = ((), (), (), (own,), True)
-        if ahead[idx]:
-            low, high, cell_counts, copies, forced = entry
-            if not forced:
-                raise InternalConsistencyError(f"writes ahead on choice cell {idx}")
-            if copies:  # checked here, where it writes ahead, rather than copied
-                low = high = copies
-            entry = (low, high, cell_counts, None, tuple(ahead[idx]))
-        plan.append(entry)
+            plan.append(((), (own,), False))
+            continue
+        if choice and ahead[idx]:
+            raise InternalConsistencyError(f"writes ahead on choice cell {idx}")
+        plan.append((((idx, low, high, tuple(counts[idx])), *ahead[idx]), (), choice))
     for idx in range(n - 2, -1, -1):  # each run of copies onto its first cell
-        following = plan[idx + 1]
-        if plan[idx][3] and following[3]:
-            plan[idx] = ((), (), (), plan[idx][3] + following[3], True)
+        copies = plan[idx][1]
+        if copies and plan[idx + 1][1]:
+            plan[idx] = ((), copies + plan[idx + 1][1], False)
             plan[idx + 1] = None
     return plan
-
-
-def _write_ahead(h: list[int], c: int, writes) -> bool:
-    """Set h[r] for each (r, lows, highs, counts) in writes to the least
-    value its decided rules allow, as _walk does at r; False, writing no
-    further, if they allow none."""
-    for r, lows, highs, counts in writes:
-        lo = 0
-        hi = c
-        for offset, factor, index in lows:
-            v = offset + factor * h[index]
-            if v > lo:
-                lo = v
-        for offset, factor, index in highs:
-            v = offset + factor * h[index]
-            if v < hi:
-                hi = v
-        for start, stop, step, t, free_size, offset, factor in counts:
-            m = sum(map(t.__le__, h[start:stop:step]))
-            v = offset + factor * m
-            if v > lo and (factor > 0 or m != free_size):
-                lo = v
-            if v < hi and (factor < 0 or m != free_size):
-                hi = v
-        if lo > hi:
-            return False
-        h[r] = lo
-    return True
 
 
 def signed_count(

@@ -19,11 +19,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import exactalg
-from .core import SignedCount
+from .core import HALF_FULL_REFERENCE, MAJORITY_REFERENCE, SignedCount
 from .errors import DimensionError, InternalConsistencyError, UnsupportedClassError
 from .qseries import binom, qbinom_minus1
-
-_HALF_FULL = "reference: half-full partition"
 
 Point = tuple[int, int]
 
@@ -127,7 +125,7 @@ def tcpp_matrix(a: int, b: int) -> ClassMatrix:
 def tcpp_enum(a: int, b: int) -> SignedCount:
     cm = tcpp_matrix(a, b)
     value = cm.global_sign * exactalg.det(cm.rows)
-    return SignedCount(value, _HALF_FULL)
+    return SignedCount(value, HALF_FULL_REFERENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +143,7 @@ def stcpp_enum(alpha: int, b: int) -> SignedCount:
     empty and the enumeration is 1.
     """
     value = _continuity_normalized_pfaffian(0, alpha, b)
-    return SignedCount(value, _HALF_FULL)
+    return SignedCount(value, HALF_FULL_REFERENCE)
 
 
 def mtilde_entry(alpha: int, b: int, i: int, j: int) -> int:
@@ -182,7 +180,7 @@ def stcpp_odd_enum(alpha: int, b: int) -> SignedCount:
     """(-1)-enumeration for the (2a+1) x (2a+1) x 2b box; no closed form,
     but the Pfaffian is exact.  Sign anchored at b = 0 as usual."""
     value = _continuity_normalized_pfaffian(1, alpha, b)
-    return SignedCount(value, _HALF_FULL)
+    return SignedCount(value, HALF_FULL_REFERENCE)
 
 
 def stcpp_odd_closed_ee(alpha: int, b: int, i: int, j: int) -> Fraction:
@@ -244,7 +242,7 @@ def _half_binomial_det(alpha: int) -> int:
 
 def cstcpp_enum(alpha: int) -> SignedCount:
     """The square of the half-size binomial determinant."""
-    return SignedCount(_half_binomial_det(alpha) ** 2, "reference: majority partition")
+    return SignedCount(_half_binomial_det(alpha) ** 2, MAJORITY_REFERENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +255,7 @@ def tsscpp_enum(alpha: int) -> SignedCount:
     The sign is relative to the majority reference partition, the
     conventional choice of weight-1 member.
     """
-    return SignedCount(
-        _half_binomial_det(alpha), "reference: majority partition (sign conventional)"
-    )
+    return SignedCount(_half_binomial_det(alpha), f"{MAJORITY_REFERENCE} (sign conventional)")
 
 
 def tsscpp_pool(alpha: int) -> list[list[int]]:
@@ -316,7 +312,7 @@ def scpp_matrix(a: int, b: int, c: int) -> ClassMatrix:
 
 def scpp_enum(a: int, b: int, c: int) -> SignedCount:
     if a == 0 or b == 0 or c == 0:
-        return SignedCount(1, _HALF_FULL)
+        return SignedCount(1, HALF_FULL_REFERENCE)
     cm = scpp_matrix(a, b, c)
     # S*·J·S*^T with J = [[0, I], [-I, 0]] is L·R^T - R·L^T = P - P^T for
     # the column halves L and R of S*
@@ -325,7 +321,7 @@ def scpp_enum(a: int, b: int, c: int) -> SignedCount:
     p = exactalg.matmul(left, exactalg.transpose(right))
     m = [[x - y for x, y in zip(row, col)] for row, col in zip(p, zip(*p))]
     value = cm.global_sign * exactalg.pfaffian(m)
-    return SignedCount(value, _HALF_FULL)
+    return SignedCount(value, HALF_FULL_REFERENCE)
 
 
 # ---------------------------------------------------------------------------

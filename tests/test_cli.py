@@ -1,6 +1,8 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from ppsign import cli, core, exactalg, paths
 from ppsign.errors import InternalConsistencyError, ResourceLimitError
 
@@ -135,6 +137,21 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())[0]["value"] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--class", "cstc", "--alpha", "2", "--method", "formula"),
+    ("verify", "--class", "tc", "--smoke"),
+    ("identity", "--name", "mrr", "--n", "4", "--mu", "2"),
+])
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, argv):
+    # a missing directory raises FileNotFoundError, a directory
+    # IsADirectoryError: both are OSError, and exit 1 would read as MISMATCH
+    for target in (tmp_path / "missing" / "result.json", tmp_path):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --out {target}") and "Traceback" not in err
 
 
 def test_env_budget_override(capsys, monkeypatch):

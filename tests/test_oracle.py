@@ -150,7 +150,7 @@ def members_before_stop(box, cls, budget):
 def copy_runs(box, cls):
     """(start, stop) of each run of cells the walk fills in one step."""
     plan = oracle._compile(box, cls)
-    return [(idx, idx + len(step[3])) for idx, step in enumerate(plan) if step and step[3]]
+    return [(idx, idx + len(step[1])) for idx, step in enumerate(plan) if step and step[1]]
 
 
 TAIL_RUN_PINS = [pin for pin in NODE_PINS if pin[0] in (SC.TC, SC.STC, SC.SC)]
@@ -186,6 +186,25 @@ def test_budget_stop_inside_an_interior_run_of_copies():
         assert len(members) >= yielded
         yielded = len(members)
     assert yielded == 2
+
+
+@pytest.mark.parametrize("cls, nodes", [(SC.CSSC, 4_662), (SC.TSSC, 1_342)])
+def test_budget_stop_inside_the_cyclic_walk(cls, nodes):
+    # the cyclic classes' forced cells, and the values some of them write
+    # ahead, count their nodes on the choice cells' path: a stop anywhere
+    # on it ends the walk after a prefix of the members, and a larger
+    # budget never yields fewer
+    box = BoxDims(6, 6, 6)
+    full, stopped = members_before_stop(box, cls, nodes)
+    assert not stopped
+    yielded = 0
+    for budget in [*range(0, nodes - 1, nodes // 100), nodes - 1]:
+        members, stopped = members_before_stop(box, cls, budget)
+        assert stopped, budget
+        assert members == full[:len(members)], budget
+        assert len(members) >= yielded, budget
+        yielded = len(members)
+    assert 0 < yielded <= len(full)
 
 
 def test_sc_count_is_invariant_under_side_permutation():
