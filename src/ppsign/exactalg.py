@@ -1,7 +1,11 @@
 """Exact dense linear algebra over big integers and rationals.
 
 Matrices are plain sequences of row sequences; results come back as int
-when the input was integral, Fraction otherwise.  Determinants use
+when the input was integral, Fraction otherwise.  Entries, coefficients
+and samples must be int or Fraction; anything else (a float, a string)
+raises InvalidInputError.  Polynomials keep each coefficient as an int
+where it is integral, and interpolation runs in integers over one common
+denominator.  Determinants use
 fraction-free Bareiss elimination (from dimension 12, once per diagonal
 block of the block-triangular form); Pfaffians use its skew analogue,
 whose exact divisions rest on Knuth's overlapping-Pfaffian identity, with
@@ -85,6 +89,14 @@ def _is_integral(row: Sequence[Rational]) -> bool:
     return all(isinstance(x, int) for x in row)
 
 
+def _require_rational(values: Sequence[object]) -> None:
+    """Raise InvalidInputError unless every value is an int or a Fraction;
+    run only where _is_integral has failed, so all-int input skips it."""
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise InvalidInputError(f"expected an int or a Fraction, got {x!r}")
+
+
 def det(m: MatrixLike) -> Rational:
     """Exact determinant via fraction-free Bareiss elimination.
 
@@ -107,6 +119,7 @@ def det(m: MatrixLike) -> Rational:
     scale = 1
     for row in rows:
         if not _is_integral(row):
+            _require_rational(row)
             lcm = math.lcm(*(x.denominator for x in row))
             scale *= lcm
             row[:] = [int(x * lcm) for x in row]
@@ -313,13 +326,17 @@ def pfaffian(m: MatrixLike) -> Rational:
         raise DimensionError("pfaffian needs a square matrix")
     if n % 2 != 0:
         raise DimensionError(f"pfaffian needs even dimension, got {n}")
+    integral = all(map(_is_integral, rows))
+    if not integral:
+        for row in rows:
+            _require_rational(row)
     if not _is_skew_square(rows):
         raise InvalidInputError("matrix is not skew-symmetric")
     if n == 0:
         return 1
 
     expected = _pfaffian_matching_sum(rows) if n <= _PFAFFIAN_CHECK_DIM else None
-    if all(map(_is_integral, rows)):
+    if integral:
         result: Rational = _skew_eliminate(rows)
     else:
         scale = math.lcm(*(x.denominator for row in rows for x in row))
@@ -359,16 +376,41 @@ def sum_of_minors(
     return total
 
 
+def _exact_quotient(a: Rational, b: Rational) -> Rational:
+    """a / b, an int when both are ints and b divides a, else a Fraction."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def _as_coefficient(c: Rational) -> Rational:
+    """c as a Poly stores it: an int where integral, else a Fraction."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    return int(c)
+
+
 class Poly:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact rational coefficients, each
+    kept as an int where it is integral and as a Fraction otherwise.
+
+    A Fraction with denominator 1 is stored as its int, so int-built and
+    Fraction-built polynomials compare, hash and print alike
+    (hash(3) == hash(Fraction(3)), str(Fraction(3)) == "3").  A coefficient
+    that is neither an int nor a Fraction raises InvalidInputError.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        if not all(type(c) is int for c in cs):
+            _require_rational(cs)
+            cs = [_as_coefficient(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Rational, ...] = tuple(cs)
 
     @property
     def degree(self) -> int:
@@ -397,8 +439,8 @@ class Poly:
     def __add__(self, other: "Poly | Rational") -> "Poly":
         other = other if isinstance(other, Poly) else Poly([other])
         size = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (size - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (size - len(other.coeffs))
+        a = list(self.coeffs) + [0] * (size - len(self.coeffs))
+        b = list(other.coeffs) + [0] * (size - len(other.coeffs))
         return Poly([x + y for x, y in zip(a, b)])
 
     def __neg__(self) -> "Poly":
@@ -409,9 +451,8 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+        other = other if isinstance(other, Poly) else Poly([other])
+        out: list[Rational] = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -427,9 +468,9 @@ class Poly:
         dcs = divisor.coeffs
         dn = len(dcs) - 1
         lead = dcs[-1]
-        quot = [Fraction(0)] * max(len(rem) - dn, 0)
+        quot: list[Rational] = [0] * max(len(rem) - dn, 0)
         for i in range(len(rem) - dn - 1, -1, -1):
-            factor = rem[i + dn] / lead
+            factor = _exact_quotient(rem[i + dn], lead)
             if factor:
                 quot[i] = factor
                 for j, c in enumerate(dcs):
@@ -455,21 +496,56 @@ class Poly:
 
 
 def interpolate(points: Sequence[tuple[Rational, Rational]]) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points."""
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise InvalidInputError("interpolation abscissae must be distinct")
+    """Unique polynomial p of degree < len(points) through points whose
+    abscissae are equally spaced, x_i = x0 + i*h.
+
+    With n = len(points) - 1, d the lcm of the denominators of the y_i and
+    D_k the k-th forward difference of d*y_0, ..., d*y_n, Newton's forward
+    form gives
+
+        M p(x) = sum_k D_k (n!/k!) h^(n-k) (x - x_0)...(x - x_(k-1)),
+        M = n! h^n d,
+
+    which one Horner pass expands; every step is an int when x0 and h are.
+    Each coefficient is then one Fraction over M.  A repeated abscissa, or
+    distinct abscissae that are not equally spaced, raise InvalidInputError.
+    """
     if not points:
         raise NeedsMoreSamplesError("need at least one point")
-    # Newton divided differences
-    coeffs = [Fraction(y) for _, y in points]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    poly = Poly([coeffs[-1]])
-    for i in range(len(points) - 2, -1, -1):
-        poly = poly * Poly([-xs[i], 1]) + Poly([coeffs[i]])
-    return poly
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    if not _is_integral(xs):
+        _require_rational(xs)
+    d = 1
+    if not _is_integral(ys):
+        _require_rational(ys)
+        d = math.lcm(*(y.denominator for y in ys))
+        ys = [y.numerator * (d // y.denominator) for y in ys]
+    n = len(points) - 1
+    x0 = xs[0]
+    h = xs[1] - x0 if n else 1
+    if h == 0 or any(x != x0 + i * h for i, x in enumerate(xs)):
+        if len(set(xs)) != len(xs):
+            raise InvalidInputError("interpolation abscissae must be distinct")
+        raise InvalidInputError("interpolation abscissae must be equally spaced")
+
+    diffs = [ys[0]]
+    row = ys
+    for _ in range(n):
+        row = [b - a for a, b in zip(row, row[1:])]
+        diffs.append(row[0])
+    acc = [diffs[n]]
+    scale = 1  # (n!/k!) h^(n-k) for the current k, n! h^n at the end
+    for k in range(n - 1, -1, -1):
+        scale *= (k + 1) * h
+        xk = xs[k]
+        acc = [
+            diffs[k] * scale - xk * acc[0],
+            *(a - xk * b for a, b in zip(acc, acc[1:])),
+            acc[-1],
+        ]
+    m = scale * d
+    return Poly([Fraction(a, m) for a in acc])
 
 
 def divides(f: Poly, g: Poly) -> bool:

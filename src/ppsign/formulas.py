@@ -330,14 +330,14 @@ def mtilde_recurrence_residual(alpha: int, b: int, i: int, j: int) -> Fraction:
     lhs = (j + i - 1) * m(alpha, b, i, j) + 2 * (2 * j + 2 * i - 1) * m(
         alpha, b, i + 1, j
     )
-    s = Fraction(alpha + b, 2)
-    rhs = (
+    s = (alpha + b) // 2  # mtilde_entry has checked that alpha + b is even
+    rhs = Fraction(
         (alpha + b)
         * shifted_factorial(s - i + 1, 2 * i - 1)
-        * shifted_factorial(s - j + 1, 2 * j - 1)
-        / (math.factorial(2 * i) * math.factorial(2 * j - 2))
+        * shifted_factorial(s - j + 1, 2 * j - 1),
+        math.factorial(2 * i) * math.factorial(2 * j - 2),
     )
-    return Fraction(lhs) - rhs
+    return lhs - rhs
 
 
 _MTILDE_EXTRA_SAMPLES = 4  # samples past the degree bound
@@ -345,27 +345,37 @@ _MTILDE_EXTRA_SAMPLES = 4  # samples past the degree bound
 
 def mtilde_combination_poly(alpha: int, t: int, j: int) -> Poly:
     """The row combination used in the half-integer divisibility step,
-    interpolated as an exact polynomial in b (sampled at even b)."""
+    interpolated as an exact polynomial in b (sampled at even b).
+
+    Row t + 1 - s enters with weight (-1)^(s-1) binom(2s-1, s) over
+    (2s-1) 2^(4s-1); each sample is one integer numerator over the lcm L
+    of those denominators."""
     degree_bound = 2 * (t + 1) + 2 * j - 3
     samples = [2 * s for s in range(degree_bound + 1 + _MTILDE_EXTRA_SAMPLES)]
+    dens = [(2 * s - 1) * 2 ** (4 * s - 1) for s in range(1, t + 1)]
+    lcm = math.lcm(*dens)
+    weights = [
+        (-1) ** (s - 1) * binom(2 * s - 1, s) * (lcm // den)
+        for s, den in enumerate(dens, 1)
+    ]
 
     def combo(b: int) -> Fraction:
-        value = Fraction(paths.mtilde_entry(alpha, b, t + 1, j))
-        for s in range(1, t + 1):
-            coeff = Fraction(
-                (-1) ** (s - 1) * binom(2 * s - 1, s), (2 * s - 1) * 2 ** (4 * s - 1)
-            )
-            value += coeff * paths.mtilde_entry(alpha, b, t + 1 - s, j)
-        return value
+        value = lcm * paths.mtilde_entry(alpha, b, t + 1, j)
+        for s, weight in enumerate(weights, 1):
+            value += weight * paths.mtilde_entry(alpha, b, t + 1 - s, j)
+        return Fraction(value, lcm)
 
     return exactalg.interpolate([(b, combo(b)) for b in samples])
 
 
 def mtilde_divisibility_holds(alpha: int, t: int, j: int) -> bool:
-    """Whether ((alpha+b)/2 - t + 1/2)_{2t} divides the row combination."""
+    """Whether ((alpha+b)/2 - t + 1/2)_{2t} divides the row combination.
+
+    That rising factorial is 2^(-2t) times the integer product of the
+    b + alpha - 2t + 1 + 2m, m < 2t, and a constant factor does not change
+    divisibility, so the product is the divisor."""
     _require_nonnegative("alpha", alpha)
-    x = Poly.x()
-    divisor = Poly([1]) * shifted_factorial(
-        (x + alpha) * Fraction(1, 2) - t + Fraction(1, 2), 2 * t
-    )
+    divisor = Poly([1])
+    for m in range(2 * t):
+        divisor = divisor * Poly([alpha - 2 * t + 1 + 2 * m, 1])
     return exactalg.divides(divisor, mtilde_combination_poly(alpha, t, j))

@@ -13,6 +13,7 @@ tested against an independent route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -148,12 +149,15 @@ def stcpp_enum(alpha: int, b: int) -> SignedCount:
 
 def mtilde_entry(alpha: int, b: int, i: int, j: int) -> int:
     """Single-sum form of the even/odd-index block entries, valid for
-    alpha + b even."""
+    alpha + b even.  The terms with k < max(i, j) are 0, and an index
+    below 1 makes every term 0."""
     if (alpha + b) % 2:
         raise DimensionError("single-sum entries need alpha + b even")
+    if i < 1 or j < 1:
+        return 0
     return sum(
-        binom(k + j - 2, 2 * j - 2) * binom(k + i - 2, 2 * i - 2)
-        for k in range(1, (alpha + b) // 2 + 1)
+        math.comb(k + j - 2, 2 * j - 2) * math.comb(k + i - 2, 2 * i - 2)
+        for k in range(max(i, j), (alpha + b) // 2 + 1)
     )
 
 

@@ -15,7 +15,8 @@ from typing import Sequence
 
 from ppsign import core
 from ppsign.core import BoxDims, PlanePartition, SymmetryClass
-from ppsign.errors import DimensionError, InvalidInputError
+from ppsign.errors import DimensionError, InvalidInputError, NeedsMoreSamplesError
+from ppsign.exactalg import Poly
 
 Cell = tuple[int, int, int]
 Point = tuple[int, int]
@@ -529,6 +530,25 @@ def pfaffian_fraction_elimination(m) -> Fraction:
             for t in range(n):
                 rows[t][j] += c * rows[t][k + 1] + d * rows[t][k]
     return result
+
+
+def interpolate_divided_differences(points: Sequence[tuple]) -> Poly:
+    """Unique polynomial of degree < len(points) through the given points,
+    at any distinct abscissae, by Newton divided differences in Fraction."""
+    xs = [Fraction(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise InvalidInputError("interpolation abscissae must be distinct")
+    if not points:
+        raise NeedsMoreSamplesError("need at least one point")
+    # Newton divided differences
+    coeffs = [Fraction(y) for _, y in points]
+    for level in range(1, len(points)):
+        for i in range(len(points) - 1, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    poly = Poly([coeffs[-1]])
+    for i in range(len(points) - 2, -1, -1):
+        poly = poly * Poly([-xs[i], 1]) + Poly([coeffs[i]])
+    return poly
 
 
 # ---------------------------------------------------------------------------

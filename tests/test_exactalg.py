@@ -9,6 +9,7 @@ from ppsign.errors import (
     DimensionError,
     InternalConsistencyError,
     InvalidInputError,
+    NeedsMoreSamplesError,
     ResourceLimitError,
 )
 from ppsign.exactalg import Poly
@@ -16,6 +17,7 @@ from ppsign.exactalg import Poly
 from oracles import (
     det_fraction_elimination,
     det_permutation_expansion,
+    interpolate_divided_differences,
     pfaffian_fraction_elimination,
 )
 
@@ -416,6 +418,98 @@ def test_interpolate_roundtrip(coeffs):
     poly = Poly(coeffs)
     points = [(x, poly(x)) for x in range(len(coeffs))]
     assert exactalg.interpolate(points) == poly
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6)),
+    st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2)]),
+    st.lists(
+        st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=6)),
+        min_size=1,
+        max_size=9,
+    ),
+)
+def test_interpolate_matches_divided_differences(x0, h, ys):
+    points = [(x0 + i * h, y) for i, y in enumerate(ys)]
+    poly = exactalg.interpolate(points)
+    reference = interpolate_divided_differences(points)
+    assert poly == reference and repr(poly) == repr(reference)
+    assert all(poly(x) == y for x, y in points)
+
+
+def test_interpolate_rejects_bad_abscissae():
+    with pytest.raises(InvalidInputError, match="equally spaced"):
+        exactalg.interpolate([(0, 1), (1, 2), (3, 5)])
+    with pytest.raises(InvalidInputError, match="distinct"):
+        exactalg.interpolate([(0, 1), (1, 2), (0, 5)])
+    with pytest.raises(InvalidInputError, match="distinct"):
+        exactalg.interpolate([(Fraction(1, 2), 1), (Fraction(1, 2), 1)])
+    with pytest.raises(NeedsMoreSamplesError):
+        exactalg.interpolate([])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exactalg.det([[0.5]]),
+        lambda: exactalg.det([[1, 2], [3, 0.5]]),
+        lambda: exactalg.det([[1] * 12 for _ in range(11)] + [[1.0] * 12]),
+        lambda: exactalg.sum_of_minors([[0.5], [1]], 1),
+        lambda: exactalg.pfaffian([[0, 0.5], [-0.5, 0]]),
+        lambda: exactalg.pfaffian([[0, "1"], ["-1", 0]]),
+        lambda: Poly([0.1]),
+        lambda: Poly(["1/3"]),
+        lambda: Poly([1, 2]) * 0.5,
+        lambda: exactalg.interpolate([(0, 0.1), (1, 2)]),
+        lambda: exactalg.interpolate([(0.5, 1), (1.5, 2)]),
+        lambda: exactalg.interpolate([("0", 1)]),
+    ],
+    ids=[
+        "det-float",
+        "det-float-entry",
+        "det-float-block-split",
+        "sum_of_minors-float",
+        "pfaffian-float",
+        "pfaffian-str",
+        "poly-float",
+        "poly-str",
+        "poly-times-float",
+        "interpolate-float-y",
+        "interpolate-float-x",
+        "interpolate-str-x",
+    ],
+)
+def test_non_rational_input_is_rejected(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_poly_keeps_integral_coefficients_as_int():
+    p = Poly([Fraction(4, 2), 3])
+    assert [type(c) for c in p.coeffs] == [int, int]
+    value = p(Fraction(1, 2))
+    assert type(value) is Fraction and value == Fraction(7, 2)
+    assert type(p(1)) is Fraction
+    mixed = Poly([Fraction(6, 3), Fraction(1, 3)])
+    assert [type(c) for c in mixed.coeffs] == [int, Fraction]
+    for built in ([2, 3], [Fraction(2), Fraction(3)], [Fraction(4, 2), 3, Fraction(0)]):
+        assert Poly(built) == Poly([2, 3])
+        assert hash(Poly(built)) == hash(Poly([2, 3]))
+        assert repr(Poly(built)) == "Poly(2 + 3*x^1)"
+    assert Poly([Fraction(5)]) == 5 and Poly([5]) == Fraction(5)
+    # arithmetic, exact division and interpolation keep the contract
+    product = Poly([Fraction(1, 2), 1]) * Poly([2, 0, 4])
+    assert product.coeffs == (1, 2, 2, 4)
+    assert all(type(c) is int for c in product.coeffs)
+    q, r = Poly([2, 3, 1]).divmod(Poly([1, 1]))
+    assert q.coeffs == (2, 1) and not r
+    assert all(type(c) is int for c in q.coeffs)
+    q, r = Poly([1, 1]).divmod(Poly([0, 2]))
+    assert q.coeffs == (Fraction(1, 2),) and r.coeffs == (1,)
+    assert type(q.coeffs[0]) is Fraction and type(r.coeffs[0]) is int
+    squares = exactalg.interpolate([(0, 0), (1, 1), (2, 4)])
+    assert all(type(c) is int for c in squares.coeffs)
 
 
 def test_divides():

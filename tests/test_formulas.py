@@ -181,6 +181,27 @@ def test_structure_report_is_pinned():
     assert digest == "c3a23680c5b8206a252852df97c6f24dd6507d7c3d8a6198e8db23d907868fe9"
 
 
+def test_structure_report_large_alpha_is_pinned():
+    # quotients of degree up to 25 from 40 to 59 samples per parity; the
+    # digest was recorded from the Newton divided-difference interpolation
+    # in Fraction
+    text = "\n".join(repr(formulas.thm3_structure_check(alpha)) for alpha in (8, 9, 10))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "50a356f810d94a48156fe559fe35e7f8a17c8d321cd7800b5a4531f00a5f1a09"
+
+
+def test_mtilde_combination_polys_are_pinned():
+    # recorded from the Fraction-per-term samples and Newton interpolation
+    text = "\n".join(
+        repr(formulas.mtilde_combination_poly(alpha, t, j))
+        for alpha in (2, 4, 6)
+        for t in range(4)
+        for j in (1, 2)
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "4dee690acc179efb9b32cd132cae7029a7f9c3ffc262f8a8679b99f9919edae4"
+
+
 def test_structure_check_linear_factors_present():
     cases = {c.b_parity: c for c in formulas.thm3_structure_check(2)}
     # even b carries (b + 2a + 2), odd b carries (b - 1)
