@@ -14,7 +14,6 @@ from .core import (
     SymmetryClass,
     orbit_decomposition,
     reference_partition,
-    region_count,
     satisfies,
 )
 from .oracle import (
@@ -54,7 +53,6 @@ __all__ = [
     "pfaff_saalschutz_rhs",
     "qbinom_minus1",
     "reference_partition",
-    "region_count",
     "satisfies",
     "shifted_factorial",
     "signed_count",

@@ -233,17 +233,25 @@ def _agree(values: dict[str, int], compare: str) -> bool:
 
 
 def _box_for(cls: SymmetryClass, args) -> BoxDims:
+    """The box the class's flags give; SystemExit for a missing flag, then
+    for a box flag the class does not read."""
     if cls is SymmetryClass.TC or cls is SymmetryClass.STC:
         if args.a is None or args.b is None:
             raise SystemExit("tc/stc need --a and --b (box a x a x 2b)")
-        return BoxDims(args.a, args.a, 2 * args.b)
-    if cls is SymmetryClass.SC:
+        reads, box = ("a", "b"), BoxDims(args.a, args.a, 2 * args.b)
+    elif cls is SymmetryClass.SC:
         if args.a is None or args.b is None or args.c is None:
             raise SystemExit("sc needs --a, --b and --c")
-        return BoxDims(args.a, args.b, args.c)
-    if args.alpha is None:
-        raise SystemExit(f"{cls.value} needs --alpha (box (2a)^3)")
-    return _cube(args.alpha)
+        reads, box = ("a", "b", "c"), BoxDims(args.a, args.b, args.c)
+    else:
+        if args.alpha is None:
+            raise SystemExit(f"{cls.value} needs --alpha (box (2a)^3)")
+        reads, box = ("alpha",), _cube(args.alpha)
+    stray = [f"--{flag}" for flag in ("a", "b", "c", "alpha")
+             if flag not in reads and getattr(args, flag) is not None]
+    if stray:
+        raise SystemExit(f"error: enumerate --class {cls.value} reads no {' '.join(stray)}")
+    return box
 
 
 def cmd_enumerate(args) -> int:

@@ -56,7 +56,9 @@ class SymmetryClass(Enum):
     ``is_cyclic``: members are invariant under the rotation (i, j, k) ->
     (j, k, i).  ``complement``: the map that sends a member onto its
     complement, "point" through the box centre, "transpose" through the
-    centre with i <-> j, or None for a class without complementation.
+    centre with i <-> j, or None for a class without complementation;
+    ``has_complementation`` tells the two apart.  Code past the shape check
+    reads the complement through ``complement_partners``.
     """
 
     PLAIN = "plain", False, False, None
@@ -77,11 +79,8 @@ class SymmetryClass(Enum):
         member.is_symmetric = is_symmetric
         member.is_cyclic = is_cyclic
         member.complement = complement
+        member.has_complementation = complement is not None
         return member
-
-    @property
-    def has_complementation(self) -> bool:
-        return self.complement is not None
 
 
 @dataclass(frozen=True)
@@ -137,11 +136,34 @@ class PlanePartition:
 # symmetry maps
 
 
+@lru_cache(maxsize=None)
+def complement_partners(box: BoxDims, cls: SymmetryClass) -> tuple[int, ...]:
+    """partners[x]: the row-major index of the column that complementation
+    pairs with column x = i*b + j (0-based); () for a class without
+    complementation.  Raises ShapeError if the box cannot hold the class.
+
+    A member's heights at x and partners[x] sum to c: complementation sends
+    the cell over column x at height k to the cell over partners[x] at
+    height c + 1 - k.  The point complement pairs (i, j) with
+    (a-1-i, b-1-j), index n-1-x; the transpose complement pairs it with
+    (a-1-j, a-1-i), index n-1-(j*a+i).  Either table is an involution.
+    """
+    check_box_shape(box, cls)
+    n = box.a * box.b
+    if cls.complement == "point":
+        return tuple(range(n - 1, -1, -1))
+    if cls.complement == "transpose":
+        a = box.a
+        return tuple(n - 1 - (x % a) * a - x // a for x in range(n))
+    return ()
+
+
 def _maps_for(box: BoxDims, cls: SymmetryClass) -> tuple[
     tuple[Callable[[Cell], Cell], ...], tuple[Callable[[Cell], Cell], ...]
 ]:
     """(sym, anti) cell maps generating the class's combined group."""
-    a, b, c = box.a, box.b, box.c
+    b, c = box.b, box.c
+    partners = complement_partners(box, cls)  # checks the box shape
 
     def tau(cell: Cell) -> Cell:
         i, j, k = cell
@@ -155,16 +177,13 @@ def _maps_for(box: BoxDims, cls: SymmetryClass) -> tuple[
         i, j, k = cell
         return (k, i, j)
 
-    def kappa(cell: Cell) -> Cell:
+    def complement(cell: Cell) -> Cell:
         i, j, k = cell
-        return (a + 1 - i, b + 1 - j, c + 1 - k)
-
-    def taukappa(cell: Cell) -> Cell:
-        i, j, k = cell
-        return (a + 1 - j, a + 1 - i, c + 1 - k)
+        p = partners[(i - 1) * b + j - 1]
+        return (p // b + 1, p % b + 1, c + 1 - k)
 
     sym = ((tau,) if cls.is_symmetric else ()) + ((rho, rho2) if cls.is_cyclic else ())
-    anti = {"point": (kappa,), "transpose": (taukappa,), None: ()}[cls.complement]
+    anti = (complement,) if cls.has_complementation else ()
     return sym, anti
 
 
@@ -201,11 +220,12 @@ def class_predicate(box: BoxDims, cls: SymmetryClass) -> Callable[[Sequence[int]
     Raises ShapeError if the box cannot hold the class.  The conditions are
     phrased on the height matrix and read h through index tuples:
     transposition invariance pairs h[i][j] with h[j][i], complementation
-    pairs each cell once with its partner, the two to sum to c (a cell
-    that is its own partner, to c / 2), and the cyclic condition makes
-    column j the conjugate of row j, h[i][j] == #{k : h[j][k] > i}.
+    pairs each cell once with its partner in complement_partners, the two
+    to sum to c (a cell that is its own partner, to c / 2), and the cyclic
+    condition makes column j the conjugate of row j,
+    h[i][j] == #{k : h[j][k] > i}.
     """
-    check_box_shape(box, cls)
+    partners = complement_partners(box, cls)  # checks the box shape
     a, b, c = box.a, box.b, box.c
     n = a * b
     equal = same = None
@@ -218,19 +238,11 @@ def class_predicate(box: BoxDims, cls: SymmetryClass) -> Callable[[Sequence[int]
         (_getter(range(j * a, (j + 1) * a)), _getter(range(j, n, a)))
         for j in range(a if cls.is_cyclic else 0)
     )
-    if cls.complement == "point":
-        # (i, j) and (a-1-i, b-1-j) sit at flat indices k and n-1-k
-        partners = [(k, n - 1 - k) for k in range(n // 2 + n % 2)]
-    elif cls.complement == "transpose":
-        # (i, j) and (a-1-j, a-1-i) sit at flat indices i*a+j and n-1-(j*a+i)
-        partners = [(k, n - 1 - (k % a) * a - k // a) for k in range(n)]
-        partners = [(k, p) for k, p in partners if k <= p]
-    else:
-        partners = []
+    pairs = [(k, p) for k, p in enumerate(partners) if k <= p]
     first = second = None
-    if partners:
-        first, second = (_getter(side) for side in zip(*partners))
-    full = (c,) * len(partners)
+    if pairs:
+        first, second = (_getter(side) for side in zip(*pairs))
+    full = (c,) * len(pairs)
 
     def predicate(h: Sequence[int]) -> bool:
         if equal is not None and equal(h) != same(h):
@@ -383,28 +395,3 @@ def reference_partition(box: BoxDims, cls: SymmetryClass) -> PlanePartition:
     if not satisfies(pp, cls):
         raise InternalConsistencyError(f"reference partition is not a {cls.value} member")
     return pp
-
-
-def region_count(pp: PlanePartition, cls: SymmetryClass) -> int:
-    """Cubes of pp in the class's sign-carrying region.
-
-    TC counts the upper half (k > c/2), STC the upper right quarter
-    (k > c/2 and i <= j), CSTC one of the mixed octants
-    (i <= a/2 < j, k).  Each differing orbit meets the region exactly once,
-    so (-1)^region_count reproduces the orbit sign.
-    """
-    a, c = pp.box.a, pp.box.c
-    h = pp.heights
-    half = c // 2
-    if cls is SymmetryClass.TC:
-        return sum(max(v - half, 0) for row in h for v in row)
-    if cls is SymmetryClass.STC:
-        return sum(
-            max(h[i][j] - half, 0) for i in range(a) for j in range(i, a)
-        )
-    if cls is SymmetryClass.CSTC:
-        alpha = a // 2
-        return sum(
-            max(h[i][j] - alpha, 0) for i in range(alpha) for j in range(alpha, a)
-        )
-    raise UnsupportedClassError(f"region count is defined for TC/STC/CSTC, not {cls.value}")

@@ -84,17 +84,26 @@ def _is_skew_square(rows: list[list[Rational]]) -> bool:
     return all(rows[i][j] == -rows[j][i] for i in range(n) for j in range(i, n))
 
 
-def _is_integral(row: Sequence[Rational]) -> bool:
-    """Whether every entry is an int, so no rescaling is needed."""
-    return all(isinstance(x, int) for x in row)
-
-
 def _require_rational(values: Sequence[object]) -> None:
-    """Raise InvalidInputError unless every value is an int or a Fraction;
-    run only where _is_integral has failed, so all-int input skips it."""
+    """Raise InvalidInputError unless every value is an int or a Fraction."""
     for x in values:
         if not isinstance(x, (int, Fraction)):
             raise InvalidInputError(f"expected an int or a Fraction, got {x!r}")
+
+
+def _integer_rows(rows: list[Sequence[Rational]]) -> tuple[list[Sequence[int]], int]:
+    """(d * rows, d), with d the lcm of every denominator in rows.
+
+    All-int rows come back as they are, with d = 1, after one pass that
+    neither copies nor checks further; anything but an int or a Fraction
+    raises InvalidInputError.
+    """
+    if all(isinstance(x, int) for row in rows for x in row):
+        return rows, 1
+    for row in rows:
+        _require_rational(row)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 def det(m: MatrixLike) -> Rational:
@@ -117,12 +126,9 @@ def det(m: MatrixLike) -> Rational:
         return 1
 
     scale = 1
-    for row in rows:
-        if not _is_integral(row):
-            _require_rational(row)
-            lcm = math.lcm(*(x.denominator for x in row))
-            scale *= lcm
-            row[:] = [int(x * lcm) for x in row]
+    for k, row in enumerate(rows):
+        (rows[k],), d = _integer_rows([row])
+        scale *= d
 
     value = _bareiss(rows) if n < _BLOCK_SPLIT_DIM else _block_triangular_det(rows)
     return value if scale == 1 else Fraction(value, scale)
@@ -317,8 +323,8 @@ def pfaffian(m: MatrixLike) -> Rational:
     A zero pivot is replaced by swapping index k+1 with a later one, which
     negates Pf; when row k has no nonzero entry left, Pf = 0.
     For dimensions up to 8 the result is cross-checked against the direct
-    perfect-matching sum, taken before the elimination overwrites the
-    rows, and a disagreement raises InternalConsistencyError.
+    perfect-matching sum of the scaled matrix, taken before the elimination
+    overwrites the rows, and a disagreement raises InternalConsistencyError.
     """
     rows = _as_rows(m)
     n = len(rows)
@@ -326,25 +332,17 @@ def pfaffian(m: MatrixLike) -> Rational:
         raise DimensionError("pfaffian needs a square matrix")
     if n % 2 != 0:
         raise DimensionError(f"pfaffian needs even dimension, got {n}")
-    integral = all(map(_is_integral, rows))
-    if not integral:
-        for row in rows:
-            _require_rational(row)
+    rows, scale = _integer_rows(rows)
     if not _is_skew_square(rows):
         raise InvalidInputError("matrix is not skew-symmetric")
     if n == 0:
         return 1
 
     expected = _pfaffian_matching_sum(rows) if n <= _PFAFFIAN_CHECK_DIM else None
-    if integral:
-        result: Rational = _skew_eliminate(rows)
-    else:
-        scale = math.lcm(*(x.denominator for row in rows for x in row))
-        value = _skew_eliminate([[int(x * scale) for x in row] for row in rows])
-        result = value if scale == 1 else Fraction(value, scale ** (n // 2))
-    if expected is not None and result != expected:
+    value = _skew_eliminate(rows)
+    if expected is not None and value != expected:
         raise InternalConsistencyError("pfaffian disagrees with definition sum")
-    return result
+    return value if scale == 1 else Fraction(value, scale ** (n // 2))
 
 
 def sum_of_minors(
@@ -513,14 +511,8 @@ def interpolate(points: Sequence[tuple[Rational, Rational]]) -> Poly:
     if not points:
         raise NeedsMoreSamplesError("need at least one point")
     xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    if not _is_integral(xs):
-        _require_rational(xs)
-    d = 1
-    if not _is_integral(ys):
-        _require_rational(ys)
-        d = math.lcm(*(y.denominator for y in ys))
-        ys = [y.numerator * (d // y.denominator) for y in ys]
+    _require_rational(xs)
+    (ys,), d = _integer_rows([[y for _, y in points]])
     n = len(points) - 1
     x0 = xs[0]
     h = xs[1] - x0 if n else 1

@@ -292,9 +292,7 @@ def mrr_det(mu: Rational, n: int) -> tuple[Fraction, Fraction]:
     mu; the evaluation holds where the two are equal."""
     if n < 1:
         raise DomainError("n must be positive")
-    matrix = [
-        [_binom_poly(mu + i + j, 2 * i - j) for j in range(n)] for i in range(n)
-    ]
+    matrix = [[binom(mu + i + j, 2 * i - j) for j in range(n)] for i in range(n)]
     d = exactalg.det(matrix)
     chi = 1 if n % 4 == 3 else 0
     value = Fraction((-1) ** chi * 2 ** math.comb(n - 1, 2))
@@ -303,19 +301,6 @@ def mrr_det(mu: Rational, n: int) -> tuple[Fraction, Fraction]:
         value *= shifted_factorial(Fraction(-mu) - 3 * n + i + Fraction(3, 2), i // 2)
         value /= shifted_factorial(i, i)
     return Fraction(d), value
-
-
-def _binom_poly(top: Rational, k: int) -> Rational:
-    """binom(top, k) for rational top via the falling-factorial polynomial;
-    an int, from qseries.binom, when top is integral."""
-    if top.denominator == 1:
-        return binom(int(top), k)
-    if k < 0:
-        return Fraction(0)
-    value = Fraction(1)
-    for t in range(k):
-        value *= Fraction(top) - t
-    return value / math.factorial(k)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ order, in no more nodes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -183,7 +184,7 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     A cell's rules: it is at most the cell above and the cell to its left
     (the sentinel h[n] = c at an edge); a source forces it to equal its
     earlier mirror cell under symmetry, or c minus its earlier partner
-    under complementation (c // 2 if it is its own partner); and the
+    in core.complement_partners (c // 2 if it is its own partner); and the
     cyclic rule h[i][j] >= r+1 iff h[r][i] >= j+1 gives a count (start,
     stop, step, t, free_size) over the assigned partner cells
     h[start:stop:step]: m of them are >= t, and the cell equals m unless
@@ -230,6 +231,7 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     lows = [{} for _ in range(n)]  # lows[root][(factor, index)]: the largest offset
     highs = [{} for _ in range(n)]  # highs[root][(factor, index)]: the smallest offset
     counts = [[] for _ in range(n)]
+    partners = core.complement_partners(box, cls)
 
     def expr(index):
         return exprs[index] if index < n else (c, 0, n)
@@ -260,18 +262,13 @@ def _compile(box: BoxDims, cls: SymmetryClass):
             values = []  # what each source makes the cell, through the source's root
             if cls.is_symmetric and i > j:
                 values.append(expr(j * b + i))
-            if cls.complement == "point":
-                partner = (a - 1 - i, b - 1 - j)
-            elif cls.complement == "transpose":
-                partner = (a - 1 - j, a - 1 - i)
-            else:
-                partner = None
-            if partner == (i, j):
+            partner = partners[idx] if partners else None
+            if partner == idx:
                 if c % 2 != 0:
                     return None
                 values.append((c // 2, 0, n))
-            elif partner is not None and partner < (i, j):
-                o, f, root = expr(partner[0] * b + partner[1])
+            elif partner is not None and partner < idx:
+                o, f, root = expr(partner)
                 values.append((c - o, -f, root))
             cell_counts = []
             if cls.is_cyclic and i > 0:
@@ -374,25 +371,26 @@ def signed_count(
         convention = "reference: lexicographically first member (global sign arbitrary)"
     if reference is None:
         return SignedCount(0, "empty class")
-    # one cell (i, j, k) per orbit: a member holds it iff h at (i, j) >= k
+    # one cell (i, j, k) per orbit; the statistic counts those the member
+    # holds against the reference: the orbits where the two differ
     b = box.b
     reps = []
     for orbit in core.orbit_decomposition(box, cls).orbits:
         i, j, k = next(iter(orbit.half_a))
         index = (i - 1) * b + j - 1
         reps.append((index, k, reference[index] >= k))
-    flips = _cell_table(box, reps)  # flips[idx][v]: reps at idx where v differs from the reference
-    total = 0
-    for h in _walk(box, cls, node_budget):
-        total += -1 if sum(map(list.__getitem__, flips, h)) & 1 else 1
-    return SignedCount(total, convention)
+    hist = _tally(box, cls, reps, node_budget)
+    return SignedCount(sum((-1) ** s * m for s, m in hist.items()), convention)
 
 
-def _cell_table(box: BoxDims, reps: list[tuple[int, int, bool]]) -> list[list[int]]:
-    """table[idx][v]: how many (idx, k, bit) in reps have (v >= k) != bit.
+def _tally(
+    box: BoxDims, cls: SymmetryClass, reps: list[tuple[int, int, bool]], node_budget: int
+) -> Counter[int]:
+    """hist[s]: how many members hold s of the cells (idx, k, bit) of reps
+    against their bit, (h[idx] >= k) != bit, counted in one walk.
 
-    Summed over a member's cells, sum(map(list.__getitem__, table, h)),
-    that counts the reps whose cell (i, j, k) the member holds against bit;
+    table[idx][v] counts the reps at idx that height v holds against their
+    bit, so sum(map(list.__getitem__, table, h)) is a member's statistic;
     the sentinel h[n] has no row, so map leaves it out.
     """
     table = [[0] * (box.c + 1) for _ in range(box.a * box.b)]
@@ -400,7 +398,7 @@ def _cell_table(box: BoxDims, reps: list[tuple[int, int, bool]]) -> list[list[in
         row = table[index]
         for v in range(box.c + 1):
             row[v] += (v >= k) != bit
-    return table
+    return Counter(sum(map(list.__getitem__, table, h)) for h in _walk(box, cls, node_budget))
 
 
 def weighted_count(
@@ -409,34 +407,32 @@ def weighted_count(
     w: WeightKind,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int | Fraction:
-    """Sum of q^statistic over the class members in the box."""
-    if w.tag is WeightTag.PLAIN:
-        return sum(1 for _ in _walk(box, cls, node_budget))
+    """Sum of q^statistic over the class members in the box; the statistic
+    counts the member's cubes (QCUBES), its orbits under the class's
+    symmetry group (QORBITS), or nothing (PLAIN: the plain count)."""
     if w.tag is WeightTag.QCUBES:
-        total = Fraction(0)
-        for h in _walk(box, cls, node_budget):
-            total += w.q ** (sum(h) - box.c)  # less the sentinel
-        return int(total) if total.denominator == 1 else total
-    if w.tag is WeightTag.QORBITS:
+        cells = box.cells()
+    elif w.tag is WeightTag.QORBITS:
         if not (cls.is_symmetric or cls.is_cyclic):
             raise UnsupportedClassError(
                 "q^orbits needs a class with a nontrivial symmetry group"
             )
-        reps = [((i - 1) * box.b + j - 1, k, False)
-                for i, j, k in core.symmetry_orbit_reps(box, cls)]
-        orbits = _cell_table(box, reps)  # orbits[idx][v]: reps at idx that height v holds
-        total = Fraction(0)
-        for h in _walk(box, cls, node_budget):
-            total += w.q ** sum(map(list.__getitem__, orbits, h))
-        return int(total) if total.denominator == 1 else total
-    raise InvalidInputError(f"unknown weight kind {w.tag}")
+        cells = core.symmetry_orbit_reps(box, cls)
+    elif w.tag is WeightTag.PLAIN:
+        cells = ()
+    else:
+        raise InvalidInputError(f"unknown weight kind {w.tag}")
+    reps = [((i - 1) * box.b + j - 1, k, False) for i, j, k in cells]
+    hist = _tally(box, cls, reps, node_budget)
+    total = sum((w.q ** s * m for s, m in hist.items()), Fraction(0))
+    return int(total) if total.denominator == 1 else total
 
 
 # ---------------------------------------------------------------------------
 # vertically symmetric alternating sign matrices
 
 
-def count_vsasm(n: int, limit: int = DEFAULT_VSASM_LIMIT) -> int:
+def count_vsasm(n: int) -> int:
     """Number of n x n alternating sign matrices invariant under
     left-right reflection, counted over monotone triangles.
 
@@ -446,14 +442,15 @@ def count_vsasm(n: int, limit: int = DEFAULT_VSASM_LIMIT) -> int:
     1, and matrix row k is the indicator of triangle row k minus that of
     row k - 1.  So every matrix row is symmetric under j -> n+1-j exactly
     when every triangle row is.  The count therefore runs over symmetric
-    rows only, memoised per row, and builds no matrices.
+    rows only, memoised per row, and builds no matrices.  An odd n above
+    DEFAULT_VSASM_LIMIT raises ResourceLimitError.
     """
     if n < 1:
         raise InvalidInputError(f"matrix size must be positive, got {n}")
     if n % 2 == 0:
         return 0  # parity obstruction: middle column argument
-    if n > limit:
-        raise ResourceLimitError(f"vsasm size {n} exceeds configured limit {limit}")
+    if n > DEFAULT_VSASM_LIMIT:
+        raise ResourceLimitError(f"vsasm size {n} exceeds configured limit {DEFAULT_VSASM_LIMIT}")
 
     @lru_cache(maxsize=None)
     def count(row: tuple[int, ...]) -> int:

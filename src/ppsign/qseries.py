@@ -26,14 +26,19 @@ def shifted_factorial(a: Rational, n: int) -> Rational:
     return result
 
 
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient extended to negative upper index.
+def binom(n: Rational, k: int) -> Rational:
+    """Binomial coefficient n(n-1)...(n-k+1)/k! for any rational n; 0 for
+    k < 0.
 
-    Returns 0 for k < 0 and for 0 <= n < k; for n < 0 uses the polynomial
-    extension n(n-1)...(n-k+1)/k!.
+    An integral n (an int, or a Fraction with denominator 1) gives an int,
+    which is 0 for 0 <= n < k; any other n gives a Fraction.
     """
+    integral = n.denominator == 1
     if k < 0:
-        return 0
+        return 0 if integral else Fraction(0)
+    if not integral:
+        return Fraction(math.prod(n - t for t in range(k)), math.factorial(k))
+    n = int(n)
     if n >= 0:
         return math.comb(n, k) if k <= n else 0
     num = 1

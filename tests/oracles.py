@@ -15,7 +15,12 @@ from typing import Sequence
 
 from ppsign import core
 from ppsign.core import BoxDims, PlanePartition, SymmetryClass
-from ppsign.errors import DimensionError, InvalidInputError, NeedsMoreSamplesError
+from ppsign.errors import (
+    DimensionError,
+    InvalidInputError,
+    NeedsMoreSamplesError,
+    UnsupportedClassError,
+)
 from ppsign.exactalg import Poly
 
 Cell = tuple[int, int, int]
@@ -206,6 +211,31 @@ def sign_weight(
     if not core.satisfies(pp, cls):
         raise InvalidInputError("plane partition does not satisfy the class predicate")
     return -1 if orbit_difference(pp, cls, reference) % 2 else 1
+
+
+def region_count(pp: PlanePartition, cls: SymmetryClass) -> int:
+    """Cubes of pp in the class's sign-carrying region.
+
+    TC counts the upper half (k > c/2), STC the upper right quarter
+    (k > c/2 and i <= j), CSTC one of the mixed octants
+    (i <= a/2 < j, k).  Each differing orbit meets the region exactly once,
+    so (-1)^region_count reproduces the orbit sign.
+    """
+    a, c = pp.box.a, pp.box.c
+    h = pp.heights
+    half = c // 2
+    if cls is SymmetryClass.TC:
+        return sum(max(v - half, 0) for row in h for v in row)
+    if cls is SymmetryClass.STC:
+        return sum(
+            max(h[i][j] - half, 0) for i in range(a) for j in range(i, a)
+        )
+    if cls is SymmetryClass.CSTC:
+        alpha = a // 2
+        return sum(
+            max(h[i][j] - alpha, 0) for i in range(alpha) for j in range(alpha, a)
+        )
+    raise UnsupportedClassError(f"region count is defined for TC/STC/CSTC, not {cls.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,12 @@ def test_criterion_5_vsasm_remark_alpha_three():
         assert formulas.thm5_tsscpp(3) != oracle.count_vsasm(5)
 
 
-def test_vsasm_corrected_relation():
-    # the remark's relation beyond alpha = 3, up to order 11
+def test_vsasm_corrected_relation(monkeypatch):
+    # the remark's relation beyond alpha = 3, up to order 11, past the
+    # default bound
+    monkeypatch.setattr(oracle, "DEFAULT_VSASM_LIMIT", 11)
     for alpha in (1, 3, 5, 7, 9, 11):
-        assert formulas.thm5_tsscpp(alpha) == oracle.count_vsasm(alpha, limit=11)
+        assert formulas.thm5_tsscpp(alpha) == oracle.count_vsasm(alpha)
 
 
 def test_criterion_6_scpp_even():

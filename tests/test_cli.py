@@ -331,6 +331,27 @@ def test_identity_flag_nothing_reads_is_usage_error(capsys):
         assert argv[-2] in err, argv
 
 
+def test_enumerate_box_flag_the_class_does_not_read_is_usage_error(capsys):
+    for argv, stray in (
+        (("tc", "--a", "3", "--b", "1", "--c", "7"), "--c"),
+        (("stc", "--a", "2", "--b", "1", "--alpha", "1"), "--alpha"),
+        (("tcpp", "--a", "3", "--b", "1", "--c", "2", "--alpha", "1"), "--c --alpha"),
+        (("sc", "--a", "2", "--b", "2", "--c", "2", "--alpha", "1"), "--alpha"),
+        (("cstc", "--alpha", "1", "--a", "2"), "--a"),
+        (("tssc", "--alpha", "1", "--b", "0"), "--b"),
+        (("cssc", "--alpha", "1", "--a", "2", "--b", "2", "--c", "2"), "--a --b --c"),
+    ):
+        code, out, err = run_cli(capsys, "enumerate", "--class", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, argv
+        assert f"reads no {stray}\n" in err, argv
+    # a missing flag is named first, as before
+    code, out, err = run_cli(capsys, "enumerate", "--class", "cstc", "--a", "2", "--b", "1")
+    assert code == 2
+    assert err == "cstc needs --alpha (box (2a)^3)\n"
+
+
 def test_internal_failure_in_a_route_exits_one(capsys, monkeypatch):
     def broken(m):
         raise InternalConsistencyError("pfaffian disagrees with its cross-check")

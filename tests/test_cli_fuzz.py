@@ -27,6 +27,12 @@ IDENTITIES = (
     "detl", "2ji", "m1", "mrr", "pfaff-saalschutz", "minor-summation", "recurrence-s4",
 )
 IDENTITY_FLAGS = ("--n", "--mu", "--alpha", "--beta", "--gamma", "--b")
+BOX_FLAGS = ("--a", "--b", "--c", "--alpha")
+# the box flags enumerate reads per class; an unknown class gets any of them
+ENUMERATE_FLAGS = {
+    "tc": ("--a", "--b"), "stc": ("--a", "--b"), "sc": ("--a", "--b", "--c"),
+    "cstc": ("--alpha",), "tssc": ("--alpha",), "cssc": ("--alpha",),
+}
 PARAMETER = st.integers(-2, 5)
 GRID_MAX = st.integers(-1, 3)
 BUDGET = st.integers(-1, 20_000)
@@ -38,8 +44,14 @@ def argvs(draw) -> list[str]:
     argv = [command]
     switches = ["--strict"]
     if command == "enumerate":
-        argv += ["--class", draw(st.sampled_from(CLASS_NAMES))]
-        valued = {flag: PARAMETER for flag in ("--a", "--b", "--c", "--alpha")}
+        name = draw(st.sampled_from(CLASS_NAMES))
+        argv += ["--class", name]
+        # the class's own box flags; a stray box flag now and then is a
+        # usage error
+        reads = ENUMERATE_FLAGS.get(cli._short_name(name), BOX_FLAGS)
+        valued = {flag: PARAMETER for flag in reads}
+        if draw(st.integers(0, 7)) == 0:
+            valued[draw(st.sampled_from(BOX_FLAGS))] = PARAMETER
         valued["--method"] = st.sampled_from(("oracle", "lgv", "formula", "all"))
     elif command == "verify":
         valued = {flag: GRID_MAX for flag in ("--max-a", "--max-b", "--max-c", "--max-alpha")}

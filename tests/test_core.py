@@ -1,4 +1,5 @@
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -13,11 +14,14 @@ from ppsign.errors import (
 from ppsign.oracle import enumerate_class
 
 from oracles import (
+    _point_complement,
+    _transpose_complement,
     cell_indicator,
     cellset_satisfies,
     cellset_to_pp,
     cells_of,
     is_valid_pp,
+    region_count,
     sign_weight,
 )
 
@@ -140,6 +144,41 @@ def test_check_box_shape(cls, sides, lacks):
     assert str(excinfo.value) == f"{cls.value} needs {lacks}, got {box}"
 
 
+# the cell map of each class's complementation, written out independently
+COMPLEMENTS = {
+    SC.SC: _point_complement, SC.CSSC: _point_complement, SC.TSSC: _point_complement,
+    SC.TC: _transpose_complement, SC.STC: _transpose_complement,
+    SC.CSTC: _transpose_complement,
+}
+
+
+def test_complement_partners_match_the_cell_maps():
+    # every box with sides <= 6: the table checks the shape as
+    # check_box_shape does, is empty without complementation, sends column
+    # (i, j) where the cell map sends (i, j, 1), and is an involution
+    valid = {cls: 0 for cls in COMPLEMENTS}
+    for a, b, c in product(range(7), repeat=3):
+        box = BoxDims(a, b, c)
+        for cls in SC:
+            try:
+                core.check_box_shape(box, cls)
+            except ShapeError:
+                with pytest.raises(ShapeError):
+                    core.complement_partners(box, cls)
+                continue
+            partners = core.complement_partners(box, cls)
+            if cls not in COMPLEMENTS:
+                assert partners == (), (cls, box)
+                continue
+            valid[cls] += 1
+            images = [COMPLEMENTS[cls](box, (i, j, 1)) for i in range(1, a + 1)
+                      for j in range(1, b + 1)]
+            assert all(k == c for _, _, k in images), (cls, box)
+            assert partners == tuple((i - 1) * b + j - 1 for i, j, _ in images), (cls, box)
+            assert [partners[p] for p in partners] == list(range(a * b)), (cls, box)
+    assert all(valid.values()), valid
+
+
 CELLSET_CASES = COMPLEMENTATION_BOXES + [
     (SC.SYMMETRIC, BoxDims(3, 3, 2)),
     (SC.CYCLIC, BoxDims(3, 3, 3)),
@@ -244,12 +283,12 @@ def test_sign_weight_examples():
 def test_region_count_examples():
     box = BoxDims(3, 3, 2)
     two_high = PlanePartition(box, ((2, 2, 1), (1, 1, 1), (1, 1, 0)))
-    assert core.region_count(two_high, SC.TC) == 2
-    assert core.region_count(core.reference_partition(box, SC.TC), SC.TC) == 0
+    assert region_count(two_high, SC.TC) == 2
+    assert region_count(core.reference_partition(box, SC.TC), SC.TC) == 0
     stc_box = BoxDims(2, 2, 2)
-    assert core.region_count(PlanePartition(stc_box, ((2, 1), (1, 0))), SC.STC) == 1
+    assert region_count(PlanePartition(stc_box, ((2, 1), (1, 0))), SC.STC) == 1
     with pytest.raises(UnsupportedClassError):
-        core.region_count(two_high, SC.SC)
+        region_count(two_high, SC.SC)
 
 
 def test_sign_equals_region_parity_tc():
@@ -257,7 +296,7 @@ def test_sign_equals_region_parity_tc():
         for b in range(0, 4):
             box = BoxDims(a, a, 2 * b)
             for pp in enumerate_class(box, SC.TC):
-                expected = -1 if core.region_count(pp, SC.TC) % 2 else 1
+                expected = -1 if region_count(pp, SC.TC) % 2 else 1
                 assert sign_weight(pp, SC.TC) == expected
 
 
@@ -271,7 +310,7 @@ def test_sign_equals_region_parity_tc():
 def test_sign_equals_region_parity_quarter_and_octant(cls, boxes):
     for box in boxes:
         for pp in enumerate_class(box, cls):
-            expected = -1 if core.region_count(pp, cls) % 2 else 1
+            expected = -1 if region_count(pp, cls) % 2 else 1
             assert sign_weight(pp, cls) == expected
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,23 @@ def test_binom_values():
     assert qseries.binom(2, 5) == 0
     assert qseries.binom(-1, 2) == 1
     assert qseries.binom(-3, 3) == -10
+
+
+def test_binom_is_the_falling_factorial_quotient():
+    # an integral top, int or Fraction, gives an int: negative tops and
+    # 0 <= top < k included; a half-integral top keeps the polynomial over
+    # Fraction, which the mrr matrix at rational mu reads
+    def quotient(top, k):
+        return math.prod(top - t for t in range(k)) / Fraction(math.factorial(k)) if k >= 0 else 0
+
+    for m in range(-6, 9):
+        for k in range(-1, 9):
+            for top in (m, Fraction(m)):
+                value = qseries.binom(top, k)
+                assert type(value) is int and value == quotient(m, k), (top, k)
+            half = Fraction(2 * m + 1, 2)
+            value = qseries.binom(half, k)
+            assert type(value) is Fraction and value == quotient(half, k), (half, k)
 
 
 @given(st.integers(-30, 30), st.integers(-5, 35))

@@ -53,3 +53,24 @@ def test_oracle_route_stays_independent():
     assert reached <= {"core", "errors"}
     for name in ("paths", "formulas", "exactalg", "qseries"):
         assert "oracle" not in package_imports(name), name
+
+
+
+def test_complement_trait_is_read_in_one_place():
+    # the complement partners are worked out once, in core; past the shape
+    # check every reader goes through that table, so the point and
+    # transpose arithmetic is written once
+    readers = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            elif (isinstance(node, ast.Attribute) and node.attr == "complement"
+                  and isinstance(node.ctx, ast.Load)):
+                readers.add(f"{path.stem}.{scope}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    assert readers == {"core.check_box_shape", "core.complement_partners"}
