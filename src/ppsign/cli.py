@@ -41,6 +41,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+# (flag attribute, environment variable, default) of each budget; a command
+# has the flag of the budget it spends: enumerate and verify the node
+# budget, identity the subset budget
 _BUDGETS = (
     ("node_budget", "PPSIGN_NODE_BUDGET", oracle.DEFAULT_NODE_BUDGET),
     ("subset_budget", "PPSIGN_SUBSET_BUDGET", exactalg.DEFAULT_SUBSET_BUDGET),
@@ -48,9 +51,12 @@ _BUDGETS = (
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Fill each budget from its flag, else its environment variable, else
-    its default, and raise SystemExit on a budget or count out of range."""
+    """Fill the command's budget from its flag, else its environment
+    variable, else its default, and raise SystemExit on a budget or count
+    out of range.  A command reads no budget variable it does not spend."""
     for flag, name, default in _BUDGETS:
+        if not hasattr(args, flag):
+            continue
         raw = os.environ.get(name)
         if raw is not None:
             try:
@@ -61,8 +67,8 @@ def _check_args(args: argparse.Namespace) -> None:
                 raise SystemExit(f"environment variable {name} must be positive")
         if getattr(args, flag) is None:
             setattr(args, flag, default)
-    if args.node_budget <= 0 or args.subset_budget <= 0:
-        raise SystemExit("budgets must be positive")
+        if getattr(args, flag) <= 0:
+            raise SystemExit("budgets must be positive")
     for flag in ("fuzz", "max_a", "max_b", "max_c", "max_alpha"):
         if getattr(args, flag, 0) < 0:
             raise SystemExit(f"--{flag.replace('_', '-')} must be nonnegative")
@@ -516,12 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget):
         p.add_argument("--format", choices=("json", "tsv", "human"), default="json")
         p.add_argument("--timing", action="store_true", help="include elapsed_ms")
         p.add_argument("--strict", action="store_true")
-        p.add_argument("--node-budget", type=int, default=None)
-        p.add_argument("--subset-budget", type=int, default=None)
+        p.add_argument(budget, type=int, default=None)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p_enum = sub.add_parser("enumerate", help="signed count of one box")
@@ -531,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--c", type=int)
     p_enum.add_argument("--alpha", type=int)
     p_enum.add_argument("--method", choices=("oracle", "lgv", "formula", "all"), default="all")
-    common(p_enum)
+    common(p_enum, "--node-budget")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="cross-verification sweep")
@@ -541,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-c", type=int, default=4)
     p_verify.add_argument("--max-alpha", type=int, default=2)
     p_verify.add_argument("--smoke", action="store_true", help="minimal grid")
-    common(p_verify)
+    common(p_verify, "--node-budget")
     p_verify.set_defaults(func=cmd_verify)
 
     p_ident = sub.add_parser("identity", help="run a named identity check")
@@ -550,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--seed", type=int, default=0)
     for flag in _IDENTITY_FLAGS:
         p_ident.add_argument(f"--{flag}", type=int)
-    common(p_ident)
+    common(p_ident, "--subset-budget")
     p_ident.set_defaults(func=cmd_identity)
 
     return parser

@@ -118,10 +118,6 @@ class PlanePartition:
     box: BoxDims
     heights: tuple[tuple[int, ...], ...]
 
-    def contains(self, cell: Cell) -> bool:
-        i, j, k = cell
-        return 1 <= k <= self.heights[i - 1][j - 1]
-
     def cells(self) -> Iterator[Cell]:
         for i, row in enumerate(self.heights, start=1):
             for j, h in enumerate(row, start=1):
@@ -161,7 +157,8 @@ def complement_partners(box: BoxDims, cls: SymmetryClass) -> tuple[int, ...]:
 def _maps_for(box: BoxDims, cls: SymmetryClass) -> tuple[
     tuple[Callable[[Cell], Cell], ...], tuple[Callable[[Cell], Cell], ...]
 ]:
-    """(sym, anti) cell maps generating the class's combined group."""
+    """(sym, anti) cell maps generating the class's combined group; the
+    rotation rho alone generates the cyclic group, since rho^2 = rho^-1."""
     b, c = box.b, box.c
     partners = complement_partners(box, cls)  # checks the box shape
 
@@ -173,16 +170,12 @@ def _maps_for(box: BoxDims, cls: SymmetryClass) -> tuple[
         i, j, k = cell
         return (j, k, i)
 
-    def rho2(cell: Cell) -> Cell:
-        i, j, k = cell
-        return (k, i, j)
-
     def complement(cell: Cell) -> Cell:
         i, j, k = cell
         p = partners[(i - 1) * b + j - 1]
         return (p // b + 1, p % b + 1, c + 1 - k)
 
-    sym = ((tau,) if cls.is_symmetric else ()) + ((rho, rho2) if cls.is_cyclic else ())
+    sym = ((tau,) if cls.is_symmetric else ()) + ((rho,) if cls.is_cyclic else ())
     anti = (complement,) if cls.has_complementation else ()
     return sym, anti
 

@@ -109,10 +109,10 @@ def _integer_rows(rows: list[Sequence[Rational]]) -> tuple[list[Sequence[int]], 
 def det(m: MatrixLike) -> Rational:
     """Exact determinant via fraction-free Bareiss elimination.
 
-    Integer input yields an integer; a row with a Fraction in it is scaled
-    to integers first (an all-int row as it is) so every intermediate
-    pivot step stays integral; a step that leaves the integers raises
-    InternalConsistencyError.  From
+    Integer input yields an integer; a matrix with a Fraction in it is
+    scaled to integers first by one common denominator L (det(L M) =
+    L^n det(M)), so every intermediate pivot step stays integral; a step
+    that leaves the integers raises InternalConsistencyError.  From
     dimension _BLOCK_SPLIT_DIM on, the zero pattern is used first: the
     determinant is the product of the diagonal blocks of the matrix's
     block-triangular form, each found by Bareiss, times the sign of the
@@ -125,13 +125,9 @@ def det(m: MatrixLike) -> Rational:
     if n == 0:
         return 1
 
-    scale = 1
-    for k, row in enumerate(rows):
-        (rows[k],), d = _integer_rows([row])
-        scale *= d
-
+    rows, scale = _integer_rows(rows)
     value = _bareiss(rows) if n < _BLOCK_SPLIT_DIM else _block_triangular_det(rows)
-    return value if scale == 1 else Fraction(value, scale)
+    return value if scale == 1 else Fraction(value, scale ** n)
 
 
 def _bareiss(work: list[list[int]]) -> int:
@@ -474,13 +470,6 @@ class Poly:
                 for j, c in enumerate(dcs):
                     rem[i + j] -= factor * c
         return Poly(quot), Poly(rem)
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """Substitute inner(x) for the variable."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
-        return acc
 
     def __repr__(self) -> str:
         if not self.coeffs:

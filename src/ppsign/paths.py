@@ -1,14 +1,15 @@
 """Per-class lattice-path constructions and their determinant / Pfaffian
 evaluation pipelines.
 
-Each symmetry class gets a matrix built from signed path counts between
+Each symmetry class gets one matrix built from signed path counts between
 integer lattice points (south/east steps, weight -1 per unit of area under
 a horizontal step).  Nonintersecting-family counts then come out of a
 determinant, or of a Pfaffian via the minor-summation formula when the
-starting points range over a pool.  Matrix entries that the derivations
-simplify are recomputed here from the double sums over the pool (by running
-sums; the literal form is the test reference), so the closed forms can be
-tested against an independent route.
+starting points range over a pool.  Pool matrices are computed here from
+the double sums over the pool, by running sums.  The closed forms the
+derivations give for their entries, the reduced matrices and the literal
+double sum are test references in tests/oracles.py, checked against these
+routes.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from typing import Sequence
 from . import exactalg
 from .core import HALF_FULL_REFERENCE, MAJORITY_REFERENCE, SignedCount
 from .errors import DimensionError, InternalConsistencyError, UnsupportedClassError
-from .qseries import binom, qbinom_minus1
-
-Point = tuple[int, int]
+from .qseries import qbinom_minus1
 
 
 @dataclass(frozen=True)
@@ -33,25 +32,6 @@ class ClassMatrix:
 
     rows: tuple[tuple[int | Fraction, ...], ...]
     global_sign: int
-
-
-def sgn_matrix(p: int) -> list[list[int]]:
-    return [[(l > k) - (l < k) for l in range(p)] for k in range(p)]
-
-
-def path_count_signed(start: Point, end: Point) -> int:
-    """Signed count of south/east paths, weight (-1)^(area below path).
-
-    The area-below-baseline count is the q-binomial at q = -1; moving the
-    baseline from the endpoint height to the x-axis contributes
-    (-1)^(width * end height).
-    """
-    x1, y1 = start
-    x2, y2 = end
-    width, drop = x2 - x1, y1 - y2
-    if width < 0 or drop < 0:
-        return 0
-    return (-1) ** (width * y2 % 2) * qbinom_minus1(width + drop, width)
 
 
 def _skew_double_sum(g: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -161,23 +141,8 @@ def mtilde_entry(alpha: int, b: int, i: int, j: int) -> int:
     )
 
 
-def stcpp_mtilde(alpha: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """The (alpha/2) x (alpha/2) reduced matrix; det M = (det M-tilde)^2."""
-    if alpha % 2 or b % 2:
-        raise UnsupportedClassError("reduced matrix needs alpha and b even")
-    half = alpha // 2
-    return tuple(
-        tuple(mtilde_entry(alpha, b, i, j) for j in range(1, half + 1))
-        for i in range(1, half + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # symmetric transpose-complementary, a = 2*alpha + 1
-
-
-def stcpp_odd_matrix(alpha: int, b: int) -> ClassMatrix:
-    return ClassMatrix(tuple(tuple(r) for r in _skew_double_sum(_stc_pool(1, alpha, b))), 1)
 
 
 def stcpp_odd_enum(alpha: int, b: int) -> SignedCount:
@@ -185,23 +150,6 @@ def stcpp_odd_enum(alpha: int, b: int) -> SignedCount:
     but the Pfaffian is exact.  Sign anchored at b = 0 as usual."""
     value = _continuity_normalized_pfaffian(1, alpha, b)
     return SignedCount(value, HALF_FULL_REFERENCE)
-
-
-def stcpp_odd_closed_ee(alpha: int, b: int, i: int, j: int) -> Fraction:
-    """Closed form of the (2i, 2j) entry in the alpha even, b odd case."""
-    s = (alpha + b - 1) // 2
-    return Fraction(
-        binom(s + j, 2 * j) * binom(s + i, 2 * i) * (j - i), j + i
-    )
-
-
-def stcpp_odd_closed_oo(alpha: int, b: int, i: int, j: int) -> Fraction:
-    """Closed form of the (2i-1, 2j-1) entry of the dummy-augmented matrix
-    in the alpha odd, b even case."""
-    s = (alpha + b - 1) // 2
-    return Fraction(
-        binom(s + j, 2 * j - 1) * binom(s + i, 2 * i - 1) * (j - i), i + j - 1
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,39 +175,13 @@ def cstcpp_full_det(alpha: int) -> int:
     return cm.global_sign * exactalg.det(cm.rows)
 
 
-def _half_binomial_det(alpha: int) -> int:
-    """det binom(i+j-1, 2j-i) of size alpha // 2: 0 for even alpha > 0,
-    and 1 (the empty determinant) for the empty box at alpha = 0.
-
-    CSTC squares it and TSSC takes it as is.  TSSC's own matrix,
-    binom(i+j-1, 2j-i-1), is the transpose of this one by binom(n, k) =
-    binom(n, n-k), so both classes share this matrix.
-    """
-    if alpha % 2 == 0 and alpha > 0:
-        return 0
-    n = alpha // 2
-    return exactalg.det([
-        [binom(i + j - 1, 2 * j - i) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ])
-
-
 def cstcpp_enum(alpha: int) -> SignedCount:
-    """The square of the half-size binomial determinant."""
-    return SignedCount(_half_binomial_det(alpha) ** 2, MAJORITY_REFERENCE)
+    """The signed determinant of the full path matrix."""
+    return SignedCount(cstcpp_full_det(alpha), MAJORITY_REFERENCE)
 
 
 # ---------------------------------------------------------------------------
 # totally symmetric self-complementary
-
-
-def tsscpp_enum(alpha: int) -> SignedCount:
-    """The half-size binomial determinant, shared with CSTC.
-
-    The sign is relative to the majority reference partition, the
-    conventional choice of weight-1 member.
-    """
-    return SignedCount(_half_binomial_det(alpha), f"{MAJORITY_REFERENCE} (sign conventional)")
 
 
 def tsscpp_pool(alpha: int) -> list[list[int]]:
@@ -282,10 +204,19 @@ def tsscpp_pool(alpha: int) -> list[list[int]]:
 
 
 def tsscpp_pfaffian_value(alpha: int) -> int:
-    """Independent evaluation through the full minor-summation Pfaffian."""
+    """The minor-summation Pfaffian of the start-pool matrix."""
     m = _skew_double_sum(tsscpp_pool(alpha))
     sign = (-1) ** (alpha // 2 % 2)
     return sign * exactalg.pfaffian(m)
+
+
+def tsscpp_enum(alpha: int) -> SignedCount:
+    """The start-pool Pfaffian.
+
+    The sign is relative to the majority reference partition, the
+    conventional choice of weight-1 member.
+    """
+    return SignedCount(tsscpp_pfaffian_value(alpha), f"{MAJORITY_REFERENCE} (sign conventional)")
 
 
 # ---------------------------------------------------------------------------

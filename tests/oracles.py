@@ -13,7 +13,7 @@ from itertools import chain, permutations
 from operator import itemgetter, le, ne
 from typing import Sequence
 
-from ppsign import core
+from ppsign import core, exactalg, paths
 from ppsign.core import BoxDims, PlanePartition, SymmetryClass
 from ppsign.errors import (
     DimensionError,
@@ -22,6 +22,7 @@ from ppsign.errors import (
     UnsupportedClassError,
 )
 from ppsign.exactalg import Poly
+from ppsign.qseries import binom, qbinom_minus1
 
 Cell = tuple[int, int, int]
 Point = tuple[int, int]
@@ -68,6 +69,11 @@ def gaussian_binomial_at(n: int, k: int, q: int) -> int:
 
 def cells_of(pp: PlanePartition) -> frozenset[Cell]:
     return frozenset(pp.cells())
+
+
+def contains(pp: PlanePartition, cell: Cell) -> bool:
+    i, j, k = cell
+    return 1 <= k <= pp.heights[i - 1][j - 1]
 
 
 def cell_indicator(pp: PlanePartition) -> bytes:
@@ -199,7 +205,7 @@ def orbit_difference(
     differing = 0
     for orbit in core.orbit_decomposition(pp.box, cls).orbits:
         rep = next(iter(orbit.half_a))
-        if pp.contains(rep) != reference.contains(rep):
+        if contains(pp, rep) != contains(reference, rep):
             differing += 1
     return differing
 
@@ -430,6 +436,26 @@ def dp_signed_path_count(start: Point, end: Point) -> int:
     return sum(area2_sign(p) for p in all_paths(start, end))
 
 
+def path_count_signed(start: Point, end: Point) -> int:
+    """Signed count of south/east paths, weight (-1)^(area below path).
+
+    The area-below-baseline count is the q-binomial at q = -1; moving the
+    baseline from the endpoint height to the x-axis contributes
+    (-1)^(width * end height).
+    """
+    x1, y1 = start
+    x2, y2 = end
+    width, drop = x2 - x1, y1 - y2
+    if width < 0 or drop < 0:
+        return 0
+    return (-1) ** (width * y2 % 2) * qbinom_minus1(width + drop, width)
+
+
+def sgn_matrix(p: int) -> list[list[int]]:
+    """The skew weight matrix sgn(l - k) of the minor-summation formula."""
+    return [[(l > k) - (l < k) for l in range(p)] for k in range(p)]
+
+
 def nonintersecting_family_sum(starts, ends, weight=None) -> int:
     """Sum over vertex-disjoint path families (i-th path: starts[i] ->
     ends[i]) of the product of per-path signs; weight(path, index) may
@@ -470,6 +496,63 @@ def skew_double_sum_literal(g) -> list[list[int]]:
             m[i][j] = total
             m[j][i] = -total
     return m
+
+
+# ---------------------------------------------------------------------------
+# the matrices the derivations reduce the path matrices to
+
+
+def stcpp_mtilde(alpha: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """The (alpha/2) x (alpha/2) reduced matrix; det M = (det M-tilde)^2."""
+    if alpha % 2 or b % 2:
+        raise UnsupportedClassError("reduced matrix needs alpha and b even")
+    half = alpha // 2
+    return tuple(
+        tuple(paths.mtilde_entry(alpha, b, i, j) for j in range(1, half + 1))
+        for i in range(1, half + 1)
+    )
+
+
+def stcpp_odd_matrix(alpha: int, b: int) -> list[list[int]]:
+    """The skew matrix of the odd-side STC pool, whose Pfaffian
+    stcpp_odd_enum takes."""
+    return paths._skew_double_sum(paths._stc_pool(1, alpha, b))
+
+
+def stcpp_odd_closed_ee(alpha: int, b: int, i: int, j: int) -> Fraction:
+    """Closed form of the (2i, 2j) entry in the alpha even, b odd case."""
+    s = (alpha + b - 1) // 2
+    return Fraction(
+        binom(s + j, 2 * j) * binom(s + i, 2 * i) * (j - i), j + i
+    )
+
+
+def stcpp_odd_closed_oo(alpha: int, b: int, i: int, j: int) -> Fraction:
+    """Closed form of the (2i-1, 2j-1) entry of the dummy-augmented matrix
+    in the alpha odd, b even case."""
+    s = (alpha + b - 1) // 2
+    return Fraction(
+        binom(s + j, 2 * j - 1) * binom(s + i, 2 * i - 1) * (j - i), i + j - 1
+    )
+
+
+def half_binomial_det(alpha: int) -> int:
+    """det binom(i+j-1, 2j-i) of size alpha // 2: 0 for even alpha > 0,
+    and 1 (the empty determinant) for the empty box at alpha = 0.
+
+    The reduction of both cyclic classes: CSTC is its square (Kuperberg's
+    CSTC = TSSC^2), TSSC is it as is, and for odd alpha it is Mills,
+    Robbins and Rumsey's determinant mrr_det(1, alpha // 2).  TSSC's own
+    matrix, binom(i+j-1, 2j-i-1), is the transpose of this one by
+    binom(n, k) = binom(n, n-k).
+    """
+    if alpha % 2 == 0 and alpha > 0:
+        return 0
+    n = alpha // 2
+    return exactalg.det([
+        [binom(i + j - 1, 2 * j - i) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ])
 
 
 def sc_product_literal(rows) -> list[list[int]]:
@@ -579,6 +662,14 @@ def interpolate_divided_differences(points: Sequence[tuple]) -> Poly:
     for i in range(len(points) - 2, -1, -1):
         poly = poly * Poly([-xs[i], 1]) + Poly([coeffs[i]])
     return poly
+
+
+def compose(outer: Poly, inner: Poly) -> Poly:
+    """outer(inner(x)), by Horner's rule on the coefficients of outer."""
+    acc = Poly()
+    for c in reversed(outer.coeffs):
+        acc = acc * inner + Poly([c])
+    return acc
 
 
 # ---------------------------------------------------------------------------

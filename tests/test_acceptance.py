@@ -13,7 +13,12 @@ from ppsign.core import BoxDims, SymmetryClass
 from ppsign.errors import SingularParameterError
 from ppsign.oracle import WeightKind, WeightTag
 
-from oracles import gaussian_binomial_at, pfaffian_fraction_elimination
+from oracles import (
+    gaussian_binomial_at,
+    half_binomial_det,
+    pfaffian_fraction_elimination,
+    sgn_matrix,
+)
 
 SC = SymmetryClass
 
@@ -80,14 +85,13 @@ def test_criterion_4_cstcpp():
             box = BoxDims(2 * alpha, 2 * alpha, 2 * alpha)
             got_oracle = oracle.signed_count(box, SC.CSTC).value
             got_lgv = paths.cstcpp_enum(alpha).value
-            got_full = paths.cstcpp_full_det(alpha)
+            half = half_binomial_det(alpha)
             got_formula = formulas.thm4_cstcpp(alpha)
-            assert got_oracle == got_lgv == got_full == got_formula == expected[alpha]
+            assert got_oracle == got_lgv == half ** 2 == got_formula == expected[alpha]
             if alpha % 2 == 1 and alpha > 1:
                 n = (alpha - 1) // 2
                 det, closed = formulas.mrr_det(1, n)
-                assert det == closed
-                assert got_lgv == det ** 2
+                assert half == det == closed
 
 
 def test_criterion_5_tsscpp():
@@ -221,7 +225,7 @@ def test_criterion_9_identity_suite():
                     a_m[i][j] = rng.randint(-5, 5)
                     a_m[j][i] = -a_m[i][j]
             if trial % 2 == 0:
-                a_m = paths.sgn_matrix(p)
+                a_m = sgn_matrix(p)
             lhs, rhs = paths.minor_summation(t, a_m)
             assert lhs == rhs
         # reduced-matrix recurrence and half-integer divisibility

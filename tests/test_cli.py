@@ -214,13 +214,12 @@ def test_zero_flag_values_are_not_replaced_by_defaults(capsys):
     code, out, _ = run_cli(capsys, "identity", "--name", "2ji", "--beta", "0")
     assert code == 0
     assert json.loads(out)[0]["identity"] == "2ji alpha=2 beta=0 gamma=0"
-    for flag in ("--node-budget", "--subset-budget"):
-        code, out, err = run_cli(
-            capsys, "enumerate", "--class", "tc", "--a", "2", "--b", "1", flag, "0"
-        )
-        assert code == 2, flag
-        assert out == ""
-        assert "budgets must be positive" in err
+    code, out, err = run_cli(
+        capsys, "enumerate", "--class", "tc", "--a", "2", "--b", "1", "--node-budget", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "budgets must be positive" in err
 
 
 def test_negative_counts_are_usage_errors(capsys):
@@ -274,6 +273,24 @@ def test_verify_tssc_compares_signs(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--class", "tssc", "--max-alpha", "1")
     assert code == 1
     assert json.loads(out)[0]["status"] == "MISMATCH"
+
+
+@pytest.mark.parametrize("name, route", [
+    ("cstc", "cstcpp_full_det"),
+    ("tssc", "tsscpp_pfaffian_value"),
+])
+def test_verify_lgv_runs_the_measured_path_construction(capsys, monkeypatch, name, route):
+    # the lgv value is the path matrix's own determinant or Pfaffian, the one
+    # the benchmark times, at even alpha too, where the value is 0
+    real = getattr(paths, route)
+    monkeypatch.setattr(paths, route, lambda alpha: real(alpha) + 1)
+    code, out, _ = run_cli(capsys, "verify", "--class", name, "--max-alpha", "2")
+    assert code == 1
+    records = json.loads(out)
+    assert [r["status"] for r in records] == ["MISMATCH", "MISMATCH"]
+    assert [r["values"]["lgv"] for r in records] == [
+        str(real(alpha) + 1) for alpha in (1, 2)
+    ]
 
 
 def test_enumerate_deep_box_stops_on_budget(capsys):
@@ -389,6 +406,39 @@ def test_subset_budget_reaches_minor_summation(capsys, monkeypatch):
     monkeypatch.setenv("PPSIGN_SUBSET_BUDGET", "1")
     code, _, err = run_cli(capsys, *argv, "--strict")
     assert code == 3 and err.startswith("budget:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--class", "tc", "--a", "2", "--b", "1", "--subset-budget", "0"),
+    ("enumerate", "--class", "tc", "--a", "2", "--b", "1", "--subset-budget", "5"),
+    ("verify", "--class", "tc", "--subset-budget", "-1"),
+    ("identity", "--name", "mrr", "--node-budget", "1"),
+])
+def test_budget_flag_of_another_command_is_usage_error(capsys, argv):
+    # enumerate and verify spend a node budget, identity a subset budget
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_command_reads_only_the_budget_variable_it_spends(capsys, monkeypatch):
+    monkeypatch.setenv("PPSIGN_SUBSET_BUDGET", "x")
+    code, out, err = run_cli(capsys, "enumerate", "--class", "tc", "--a", "2", "--b", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)[-1] == {"verdict": "OK"}
+    assert run_cli(capsys, "verify", "--class", "tc", "--smoke")[0] == 0
+    code, _, err = run_cli(capsys, "identity", "--name", "minor-summation")
+    assert code == 2
+    assert "PPSIGN_SUBSET_BUDGET must be an integer" in err
+    monkeypatch.delenv("PPSIGN_SUBSET_BUDGET")
+    monkeypatch.setenv("PPSIGN_NODE_BUDGET", "x")
+    code, out, err = run_cli(capsys, "identity", "--name", "mrr")
+    assert code == 0 and err == ""
+    assert json.loads(out)[0]["result"] == "PASS"
+    code, _, err = run_cli(capsys, "enumerate", "--class", "tc", "--a", "2", "--b", "1")
+    assert code == 2
+    assert "PPSIGN_NODE_BUDGET must be an integer" in err
 
 
 def test_budget_stop_skips_one_method_and_the_verdict_takes_the_rest(capsys):

@@ -4,8 +4,10 @@ asked for, and the same bytes when it is run again.
 
 Runs go in-process through ``cli.main``, so a traceback is an exception
 escaping it.  ``--out`` and ``--timing`` are left out (files and timings are
-checked in test_cli.py), and ``--node-budget`` is always given and small:
-without it a grid such as ``--max-alpha 4`` walks CSSC 8^3 for minutes.
+checked in test_cli.py).  Each budget flag goes only to the commands that
+spend it: enumerate and verify always get a small ``--node-budget``
+(without it a grid such as ``--max-alpha 4`` walks CSSC 8^3 for minutes),
+and identity may get a ``--subset-budget``.
 """
 
 from __future__ import annotations
@@ -69,14 +71,16 @@ def argvs(draw) -> list[str]:
             valued.update({f"--{flag}": PARAMETER for flag in cli._IDENTITIES[name].flags})
         if draw(st.integers(0, 7)) == 0:
             valued[draw(st.sampled_from(IDENTITY_FLAGS))] = PARAMETER
+        valued["--subset-budget"] = BUDGET
     valued["--format"] = st.sampled_from(("json", "tsv", "human"))
-    valued["--subset-budget"] = BUDGET
     for flag, values in valued.items():
         value = draw(st.none() | values)
         if value is not None:
             argv += [flag, str(value)]
     argv += [flag for flag in switches if draw(st.booleans())]
-    return argv + ["--node-budget", str(draw(BUDGET))]
+    if command != "identity":
+        argv += ["--node-budget", str(draw(BUDGET))]
+    return argv
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

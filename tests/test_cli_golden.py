@@ -110,9 +110,8 @@ def _usage_corpus():
     yield ["identity", "--name", "detl", "--fuzz", "-5"]
     for flag in ("--max-a", "--max-b", "--max-c", "--max-alpha"):
         yield ["verify", "--class", "all", flag, "-1"]
-    for flag in ("--node-budget", "--subset-budget"):
-        yield ["enumerate", "--class", "tc", "--a", "2", "--b", "1", flag, "0"]
-        yield ["verify", "--class", "tc", flag, "-1"]
+    yield ["enumerate", "--class", "tc", "--a", "2", "--b", "1", "--node-budget", "0"]
+    yield ["verify", "--class", "tc", "--node-budget", "-1"]
     yield ["identity", "--name", "mrr", "--n", "0"]
     yield ["identity", "--name", "2ji", "--alpha", "-3"]
     yield ["identity", "--name", "m1", "--alpha", "3"]

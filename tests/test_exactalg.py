@@ -533,8 +533,3 @@ def test_poly_divmod_reconstructs(f_coeffs, g_coeffs):
     assert q * g + r == f
     assert r.degree < g.degree or not r
 
-
-def test_poly_compose():
-    x = Poly.x()
-    p = x * x + 2 * x + 1
-    assert p.compose(x - 1) == x * x

@@ -7,13 +7,22 @@ import pytest
 from ppsign import exactalg, formulas, oracle, paths
 from ppsign.core import BoxDims, SymmetryClass
 from ppsign.errors import DimensionError
+from ppsign.qseries import binom
 
 from oracles import (
     area2_sign,
+    compose,
     dp_signed_path_count,
+    half_binomial_det,
     nonintersecting_family_sum,
+    path_count_signed,
     sc_product_literal,
+    sgn_matrix,
     skew_double_sum_literal,
+    stcpp_mtilde,
+    stcpp_odd_closed_ee,
+    stcpp_odd_closed_oo,
+    stcpp_odd_matrix,
 )
 
 SC = SymmetryClass
@@ -24,15 +33,15 @@ def test_path_count_signed_against_dp():
         for y1 in range(0, 5):
             for x2 in range(0, 5):
                 for y2 in range(0, 4):
-                    got = paths.path_count_signed((x1, y1), (x2, y2))
+                    got = path_count_signed((x1, y1), (x2, y2))
                     assert got == dp_signed_path_count((x1, y1), (x2, y2))
 
 
 def test_path_count_signed_edge_cases():
-    assert paths.path_count_signed((2, 2), (2, 2)) == 1
-    assert paths.path_count_signed((0, 1), (1, 1)) == -1  # one east step at height 1
-    assert paths.path_count_signed((0, 0), (1, 0)) == 1
-    assert paths.path_count_signed((3, 0), (0, 0)) == 0  # unreachable
+    assert path_count_signed((2, 2), (2, 2)) == 1
+    assert path_count_signed((0, 1), (1, 1)) == -1  # one east step at height 1
+    assert path_count_signed((0, 0), (1, 0)) == 1
+    assert path_count_signed((3, 0), (0, 0)) == 0  # unreachable
 
 
 def test_tcpp_matrix_entries_are_path_counts():
@@ -43,7 +52,7 @@ def test_tcpp_matrix_entries_are_path_counts():
                 for j in range(1, a + 1):
                     start = (i - 1, b + i - 1)
                     end = (2 * j - 2, j - 1)
-                    assert cm.rows[i - 1][j - 1] == paths.path_count_signed(start, end)
+                    assert cm.rows[i - 1][j - 1] == path_count_signed(start, end)
 
 
 def test_tcpp_determinant_counts_nonintersecting_families():
@@ -126,19 +135,19 @@ def test_det_m_is_square_of_det_mtilde():
     for alpha in (2, 4):
         for b in (0, 2, 4):
             m = paths.stcpp_matrix(alpha, b).rows
-            mt = paths.stcpp_mtilde(alpha, b)
+            mt = stcpp_mtilde(alpha, b)
             assert exactalg.det(m) == exactalg.det(mt) ** 2
 
 
 def test_mtilde_alpha_two_is_arithmetic():
     for b in (0, 2, 4, 6):
-        assert paths.stcpp_mtilde(2, b) == (((b + 2) // 2,),)
-    assert exactalg.det(paths.stcpp_mtilde(2, 0)) == 1
+        assert stcpp_mtilde(2, b) == (((b + 2) // 2,),)
+    assert exactalg.det(stcpp_mtilde(2, 0)) == 1
 
 
 def _det_mtilde_poly(alpha, samples):
     points = [
-        (b, exactalg.det(paths.stcpp_mtilde(alpha, b))) for b in range(0, 2 * samples, 2)
+        (b, exactalg.det(stcpp_mtilde(alpha, b))) for b in range(0, 2 * samples, 2)
     ]
     return exactalg.interpolate(points)
 
@@ -188,18 +197,18 @@ def test_stcpp_odd_closed_forms_match_double_sums():
     # alpha even, b odd: even/even entries
     for alpha in (2, 4):
         for b in (1, 3, 5):
-            rows = paths.stcpp_odd_matrix(alpha, b).rows
+            rows = stcpp_odd_matrix(alpha, b)
             for i in range(1, alpha // 2 + 1):
                 for j in range(1, alpha // 2 + 1):
-                    closed = paths.stcpp_odd_closed_ee(alpha, b, i, j)
+                    closed = stcpp_odd_closed_ee(alpha, b, i, j)
                     assert rows[2 * i - 1][2 * j - 1] == closed, (alpha, b, i, j)
     # alpha odd, b even: odd/odd entries of the dummy-augmented matrix
     for alpha in (1, 3):
         for b in (0, 2, 4):
-            rows = paths.stcpp_odd_matrix(alpha, b).rows
+            rows = stcpp_odd_matrix(alpha, b)
             for i in range(1, (alpha + 1) // 2 + 1):
                 for j in range(1, (alpha + 1) // 2 + 1):
-                    closed = paths.stcpp_odd_closed_oo(alpha, b, i, j)
+                    closed = stcpp_odd_closed_oo(alpha, b, i, j)
                     assert rows[2 * i - 2][2 * j - 2] == closed, (alpha, b, i, j)
 
 
@@ -207,7 +216,7 @@ def _entry_poly(alpha, parity, i, j, samples=12):
     points = []
     for t in range(samples):
         b = parity + 2 * t
-        rows = paths.stcpp_odd_matrix(alpha, b).rows
+        rows = stcpp_odd_matrix(alpha, b)
         points.append((b, rows[i - 1][j - 1]))
     return exactalg.interpolate(points)
 
@@ -222,7 +231,7 @@ def test_substitution_swaps_parity_cases():
             for j in range(1, dim + 1):
                 even_poly = _entry_poly(alpha, 0, i, j)
                 odd_poly = _entry_poly(alpha, 1, i, j)
-                assert even_poly.compose(sub) == odd_poly * (-1) ** ((i + j) % 2)
+                assert compose(even_poly, sub) == odd_poly * (-1) ** ((i + j) % 2)
 
 
 def test_cstcpp_matrix_entries_are_path_counts():
@@ -231,7 +240,7 @@ def test_cstcpp_matrix_entries_are_path_counts():
         for i in range(1, alpha):
             for j in range(1, alpha):
                 got = cm.rows[i - 1][j - 1]
-                assert got == paths.path_count_signed((i, 2 * i), (2 * j, j))
+                assert got == path_count_signed((i, 2 * i), (2 * j, j))
 
 
 def test_cstcpp_routes_agree_with_oracle():
@@ -239,29 +248,35 @@ def test_cstcpp_routes_agree_with_oracle():
         box = BoxDims(2 * alpha, 2 * alpha, 2 * alpha)
         want = oracle.signed_count(box, SC.CSTC).value
         assert paths.cstcpp_enum(alpha).value == want
-        assert paths.cstcpp_full_det(alpha) == want
+        assert half_binomial_det(alpha) ** 2 == want
     assert oracle.signed_count(BoxDims(8, 8, 8), SC.CSTC).value == 0
 
 
 def test_cstcpp_reduction_to_known_determinant():
-    # the reduced block equals the closed-form determinant evaluation
-    for alpha in (3, 5, 7):
+    # the full path matrix reduces to the square of the half-size binomial
+    # determinant, which is the closed-form determinant evaluation
+    for alpha in (1, 3, 5, 7):
         n = (alpha - 1) // 2
-        reduced = paths.cstcpp_enum(alpha).value
+        reduced = half_binomial_det(alpha)
+        assert paths.cstcpp_enum(alpha).value == reduced ** 2
         if n:
             det, closed = formulas.mrr_det(1, n)
-            assert det == closed
-            assert reduced == det ** 2
+            assert reduced == det == closed
         else:
             assert reduced == 1
 
 
 def test_tsscpp_routes_agree():
     for alpha in range(1, 8):
-        det_route = paths.tsscpp_enum(alpha).value
-        pf_route = paths.tsscpp_pfaffian_value(alpha)
-        assert det_route == pf_route, alpha
-        assert det_route == formulas.thm5_tsscpp(alpha) * (1 if alpha % 2 else 0)
+        pf_route = paths.tsscpp_enum(alpha).value
+        det_route = half_binomial_det(alpha)
+        n = alpha // 2
+        own = exactalg.det([
+            [binom(i + j - 1, 2 * j - i - 1) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ])
+        assert pf_route == det_route == (own if alpha % 2 else 0), alpha
+        assert pf_route == formulas.thm5_tsscpp(alpha) * (1 if alpha % 2 else 0)
 
 
 def test_tsscpp_matches_oracle():
@@ -299,9 +314,8 @@ def test_empty_box_counts_one_on_every_route():
     assert oracle.signed_count(empty, SC.TSSC).value == 1
     assert oracle.signed_count(empty, SC.CSTC).value == 1
     assert paths.tsscpp_enum(0).value == 1
-    assert paths.tsscpp_pfaffian_value(0) == 1
     assert paths.cstcpp_enum(0).value == 1
-    assert paths.cstcpp_full_det(0) == 1
+    assert half_binomial_det(0) == 1
 
 
 def test_stc_anchor_pfaffian_computed_once_per_pool_and_alpha(monkeypatch):
@@ -325,12 +339,12 @@ def test_minor_summation_identity():
     rng = random.Random(42)
     # sign-matrix specialization
     t = [[1, 0], [0, 1]]
-    lhs, rhs = paths.minor_summation(t, paths.sgn_matrix(2))
+    lhs, rhs = paths.minor_summation(t, sgn_matrix(2))
     assert lhs == rhs == 1
     for _ in range(40):
         p, n = 6, 2
         t = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(p)]
-        lhs, rhs = paths.minor_summation(t, paths.sgn_matrix(p))
+        lhs, rhs = paths.minor_summation(t, sgn_matrix(p))
         assert lhs == rhs
     # general skew weight matrix
     for _ in range(40):
@@ -347,7 +361,7 @@ def test_minor_summation_identity():
 
 def test_minor_summation_rejects_odd_width():
     with pytest.raises(DimensionError):
-        paths.minor_summation([[1], [2], [3]], paths.sgn_matrix(3))
+        paths.minor_summation([[1], [2], [3]], sgn_matrix(3))
 
 
 def test_tsscpp_pool_entries_are_weighted_path_counts():
@@ -355,7 +369,7 @@ def test_tsscpp_pool_entries_are_weighted_path_counts():
         pool = paths.tsscpp_pool(alpha)
         for i in range(1, 2 * alpha - 1):
             for j in range(1, alpha):
-                expected = paths.path_count_signed((i, i), (2 * j, j))
+                expected = path_count_signed((i, i), (2 * j, j))
                 expected *= (-1) ** (i * (i + 1) // 2 % 2)
                 assert pool[i - 1][j - 1] == expected
 
@@ -421,13 +435,13 @@ _DEGENERATE_ROUTES = {
     ],
     "cstc": lambda alpha: [
         paths.cstcpp_enum(alpha).value,
-        paths.cstcpp_full_det(alpha),
+        half_binomial_det(alpha) ** 2,
         formulas.thm4_cstcpp(alpha),
         oracle.signed_count(BoxDims(2 * alpha, 2 * alpha, 2 * alpha), SC.CSTC).value,
     ],
     "tssc": lambda alpha: [
         paths.tsscpp_enum(alpha).value,
-        paths.tsscpp_pfaffian_value(alpha),
+        half_binomial_det(alpha),
         formulas.thm5_tsscpp(alpha),
         oracle.signed_count(BoxDims(2 * alpha, 2 * alpha, 2 * alpha), SC.TSSC).value,
     ],

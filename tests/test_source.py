@@ -4,6 +4,7 @@ from pathlib import Path
 import ppsign
 
 SOURCE = Path(ppsign.__file__).parent
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 def test_package_uses_no_assert_statements():
@@ -74,3 +75,30 @@ def test_complement_trait_is_read_in_one_place():
 
         visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
     assert readers == {"core.check_box_shape", "core.complement_partners"}
+
+
+def _public_definitions():
+    """module.name of every public module-level function and every public
+    method of a public module-level class in the package."""
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def test_every_public_function_has_a_caller_in_the_program():
+    # code that only the tests call belongs with the tests, in oracles.py;
+    # a name counts as called where the package or the benchmark loads it
+    # (a call, an attribute read, a reference passed on) or exports it
+    loaded = set(ppsign.__all__)
+    for path in [*SOURCE.rglob("*.py"), *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert [full for full, name in _public_definitions() if name not in loaded] == []
