@@ -173,16 +173,19 @@ _STRUCTURE_EXTRA_SAMPLES = 3  # samples past the degree bound, to show it holds
 
 def thm3_structure_check(alpha: int) -> list[StructureCase]:
     """Interpolate the odd-side Pfaffian pipeline in b (per parity), divide
-    out the forced product, and report divisibility plus quotient degree."""
+    out the forced product, and report divisibility plus quotient degree.
+
+    The samples of both parities come from one sweep of the pipeline over
+    b = 0 up to the largest sample."""
     if alpha < 1:
         raise DomainError("alpha must be positive")
+    forced = [_forced_factor(alpha, b_parity) for b_parity in (0, 1)]
+    counts = [f.degree + e + 1 + _STRUCTURE_EXTRA_SAMPLES for f, _, e in forced]
+    b_max = max(b_parity + 2 * (count - 1) for b_parity, count in enumerate(counts))
+    values = paths.stc_pfaffians(1, alpha, b_max)
     cases = []
-    for b_parity in (0, 1):
-        factor, linear, expected = _forced_factor(alpha, b_parity)
-        degree_bound = factor.degree + expected
-        count = degree_bound + 1 + _STRUCTURE_EXTRA_SAMPLES
-        samples = [b_parity + 2 * t for t in range(count)]
-        points = [(b, paths.stcpp_odd_enum(alpha, b).value) for b in samples]
+    for b_parity, (factor, linear, expected), count in zip((0, 1), forced, counts):
+        points = [(b, values[b]) for b in range(b_parity, b_parity + 2 * count, 2)]
         poly = exactalg.interpolate(points)
         if poly.degree >= count - _STRUCTURE_EXTRA_SAMPLES:
             raise NeedsMoreSamplesError(
@@ -336,21 +339,19 @@ def mtilde_combination_poly(alpha: int, t: int, j: int) -> Poly:
     (2s-1) 2^(4s-1); each sample is one integer numerator over the lcm L
     of those denominators."""
     degree_bound = 2 * (t + 1) + 2 * j - 3
-    samples = [2 * s for s in range(degree_bound + 1 + _MTILDE_EXTRA_SAMPLES)]
+    samples = range(0, 2 * (degree_bound + 1 + _MTILDE_EXTRA_SAMPLES), 2)
     dens = [(2 * s - 1) * 2 ** (4 * s - 1) for s in range(1, t + 1)]
     lcm = math.lcm(*dens)
-    weights = [
+    weights = [lcm] + [
         (-1) ** (s - 1) * binom(2 * s - 1, s) * (lcm // den)
         for s, den in enumerate(dens, 1)
     ]
-
-    def combo(b: int) -> Fraction:
-        value = lcm * paths.mtilde_entry(alpha, b, t + 1, j)
-        for s, weight in enumerate(weights, 1):
-            value += weight * paths.mtilde_entry(alpha, b, t + 1 - s, j)
-        return Fraction(value, lcm)
-
-    return exactalg.interpolate([(b, combo(b)) for b in samples])
+    # one running single sum per row t + 1 - s, stepped from sample to sample
+    rows = [paths.mtilde_entries(alpha, 0, t + 1 - s, j) for s in range(t + 1)]
+    return exactalg.interpolate([
+        (b, Fraction(sum(w * next(row) for w, row in zip(weights, rows)), lcm))
+        for b in samples
+    ])
 
 
 def mtilde_divisibility_holds(alpha: int, t: int, j: int) -> bool:

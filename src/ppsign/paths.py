@@ -6,19 +6,22 @@ integer lattice points (south/east steps, weight -1 per unit of area under
 a horizontal step).  Nonintersecting-family counts then come out of a
 determinant, or of a Pfaffian via the minor-summation formula when the
 starting points range over a pool.  Pool matrices are computed here from
-the double sums over the pool, by running sums.  The closed forms the
-derivations give for their entries, the reduced matrices and the literal
-double sum are test references in tests/oracles.py, checked against these
-routes.
+the double sums over the pool, by running sums.  The STC pool matrices come
+from one builder for every b: the double sum at the first b, and a rank-2
+update for each pool row that b + 1 adds, so a sweep over b builds the
+pool once.  The closed forms the derivations give for their entries, the
+reduced matrices, the STC pool built anew for one b and the literal double
+sum are test references in tests/oracles.py, checked against these routes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import exactalg
 from .core import HALF_FULL_REFERENCE, MAJORITY_REFERENCE, SignedCount
@@ -50,27 +53,50 @@ def _skew_double_sum(g: Sequence[Sequence[int]]) -> list[list[int]]:
     return exactalg.matmul(exactalg.transpose(g), s)
 
 
-def _stc_pool(offset: int, alpha: int, b: int) -> list[list[int]]:
-    """Start-pool matrix G of the STC box of side 2*alpha + offset, with a
-    dummy start/end appended for odd alpha."""
-    g = [
-        [
-            (-1) ** (i % 2) * qbinom_minus1(i + j - 2 + offset, 2 * j - 2 + offset)
-            for j in range(1, alpha + 1)
-        ]
-        for i in range(1, alpha + b + 1)
+def _stc_pool_row(offset: int, alpha: int, i: int) -> list[int]:
+    """Row i of the start pool of the STC box of side 2*alpha + offset, with
+    the dummy path's 0 appended for odd alpha."""
+    row = [
+        (-1) ** (i % 2) * qbinom_minus1(i + j - 2 + offset, 2 * j - 2 + offset)
+        for j in range(1, alpha + 1)
     ]
     if alpha % 2 == 1:
-        for row in g:
-            row.append(0)
+        row.append(0)
+    return row
+
+
+def _stc_skew_matrices(
+    offset: int, alpha: int, b: int = 0
+) -> Iterator[list[list[int]]]:
+    """The skew matrix of the STC pool for b, b + 1, b + 2, ..., each a new
+    list.
+
+    The first is the double sum over the pool's alpha + b rows, with the
+    dummy start d = e_alpha appended last for odd alpha.  Pool row g enters
+    before d, after rows whose column sums are c, and changes the double
+    sum by (c - d) g^T - g (c - d)^T.  So s starts as the column sums less
+    d, and each step takes M += s g^T - g s^T, then s += g.
+    """
+    g = [_stc_pool_row(offset, alpha, i) for i in range(1, alpha + b + 1)]
+    s = [sum(col) for col in zip(*g)]
+    if alpha % 2 == 1:
         g.append([0] * alpha + [1])
-    return g
+        s[alpha] -= 1
+    m = _skew_double_sum(g)
+    for i in itertools.count(alpha + b + 1):
+        yield m
+        row = _stc_pool_row(offset, alpha, i)
+        m = [
+            [x + si * gj - gi * sj for x, sj, gj in zip(mrow, s, row)]
+            for mrow, si, gi in zip(m, s, row)
+        ]
+        s = [u + x for u, x in zip(s, row)]
 
 
 @lru_cache(maxsize=256)
 def _anchor_pfaffian(offset: int, alpha: int) -> int:
     """Pf of the pool's b = 0 matrix: the box is empty there, so it is +-1."""
-    anchor = exactalg.pfaffian(_skew_double_sum(_stc_pool(offset, alpha, 0)))
+    anchor = exactalg.pfaffian(next(_stc_skew_matrices(offset, alpha)))
     if anchor not in (1, -1):
         raise InternalConsistencyError(
             f"pipeline anchor at b=0 should be +-1, got {anchor}"
@@ -84,7 +110,16 @@ def _continuity_normalized_pfaffian(offset: int, alpha: int, b: int) -> int:
     anchor = _anchor_pfaffian(offset, alpha)
     if b == 0:
         return 1
-    return anchor * exactalg.pfaffian(_skew_double_sum(_stc_pool(offset, alpha, b)))
+    return anchor * exactalg.pfaffian(next(_stc_skew_matrices(offset, alpha, b)))
+
+
+def stc_pfaffians(offset: int, alpha: int, b_max: int) -> list[int]:
+    """The anchored STC Pfaffians for b = 0..b_max, from one sweep of the
+    pool matrices; offset 0 is the side 2*alpha, offset 1 the side
+    2*alpha + 1."""
+    anchor = _anchor_pfaffian(offset, alpha)
+    matrices = itertools.islice(_stc_skew_matrices(offset, alpha, 1), b_max)
+    return [1] + [anchor * exactalg.pfaffian(m) for m in matrices]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +149,7 @@ def tcpp_enum(a: int, b: int) -> SignedCount:
 
 
 def stcpp_matrix(alpha: int, b: int) -> ClassMatrix:
-    return ClassMatrix(tuple(tuple(r) for r in _skew_double_sum(_stc_pool(0, alpha, b))), 1)
+    return ClassMatrix(tuple(tuple(r) for r in next(_stc_skew_matrices(0, alpha, b))), 1)
 
 
 def stcpp_enum(alpha: int, b: int) -> SignedCount:
@@ -127,18 +162,30 @@ def stcpp_enum(alpha: int, b: int) -> SignedCount:
     return SignedCount(value, HALF_FULL_REFERENCE)
 
 
-def mtilde_entry(alpha: int, b: int, i: int, j: int) -> int:
-    """Single-sum form of the even/odd-index block entries, valid for
-    alpha + b even.  The terms with k < max(i, j) are 0, and an index
-    below 1 makes every term 0."""
+def mtilde_entries(alpha: int, b: int, i: int, j: int) -> Iterator[int]:
+    """Single-sum form of the even/odd-index block entries for b, b + 2,
+    b + 4, ..., valid for alpha + b even.  The terms with k < max(i, j)
+    are 0, and an index below 1 makes every term 0.  The entry at b + 2 is
+    the entry at b plus its term at k = (alpha + b)/2 + 1."""
     if (alpha + b) % 2:
         raise DimensionError("single-sum entries need alpha + b even")
-    if i < 1 or j < 1:
-        return 0
-    return sum(
-        math.comb(k + j - 2, 2 * j - 2) * math.comb(k + i - 2, 2 * i - 2)
-        for k in range(max(i, j), (alpha + b) // 2 + 1)
-    )
+
+    def term(k: int) -> int:
+        if min(i, j) < 1 or k < max(i, j):
+            return 0
+        return math.comb(k + j - 2, 2 * j - 2) * math.comb(k + i - 2, 2 * i - 2)
+
+    top = (alpha + b) // 2
+    value = sum(map(term, range(max(i, j), top + 1)))
+    while True:
+        yield value
+        top += 1
+        value += term(top)
+
+
+def mtilde_entry(alpha: int, b: int, i: int, j: int) -> int:
+    """The single-sum entry at one b (see mtilde_entries)."""
+    return next(mtilde_entries(alpha, b, i, j))
 
 
 # ---------------------------------------------------------------------------

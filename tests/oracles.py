@@ -513,10 +513,27 @@ def stcpp_mtilde(alpha: int, b: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def stc_pool(offset: int, alpha: int, b: int) -> list[list[int]]:
+    """Start-pool matrix G of the STC box of side 2*alpha + offset, built
+    directly for one b, with a dummy start/end appended for odd alpha."""
+    g = [
+        [
+            (-1) ** (i % 2) * qbinom_minus1(i + j - 2 + offset, 2 * j - 2 + offset)
+            for j in range(1, alpha + 1)
+        ]
+        for i in range(1, alpha + b + 1)
+    ]
+    if alpha % 2 == 1:
+        for row in g:
+            row.append(0)
+        g.append([0] * alpha + [1])
+    return g
+
+
 def stcpp_odd_matrix(alpha: int, b: int) -> list[list[int]]:
     """The skew matrix of the odd-side STC pool, whose Pfaffian
-    stcpp_odd_enum takes."""
-    return paths._skew_double_sum(paths._stc_pool(1, alpha, b))
+    stcpp_odd_enum takes, from the direct build."""
+    return paths._skew_double_sum(stc_pool(1, alpha, b))
 
 
 def stcpp_odd_closed_ee(alpha: int, b: int, i: int, j: int) -> Fraction:

@@ -173,6 +173,14 @@ def test_structure_report_large_alpha_is_pinned():
     assert digest == "50a356f810d94a48156fe559fe35e7f8a17c8d321cd7800b5a4531f00a5f1a09"
 
 
+def test_structure_report_past_alpha_ten_is_pinned():
+    # recorded from samples that each built the pool matrix anew for one b,
+    # so this pins the one-sweep rank-2 updates against the direct build
+    text = "\n".join(repr(formulas.thm3_structure_check(alpha)) for alpha in range(11, 17))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c2cedf62ec694d7976c0e89df70ee072e9ea7ebde519cd515234007c56365f4a"
+
+
 def test_mtilde_combination_polys_are_pinned():
     # recorded from the Fraction-per-term samples and Newton interpolation
     text = "\n".join(

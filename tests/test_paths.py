@@ -19,6 +19,7 @@ from oracles import (
     sc_product_literal,
     sgn_matrix,
     skew_double_sum_literal,
+    stc_pool,
     stcpp_mtilde,
     stcpp_odd_closed_ee,
     stcpp_odd_closed_oo,
@@ -393,11 +394,34 @@ def test_skew_double_sum_matches_literal_on_pools():
     for offset in (0, 1):
         for alpha in range(5):
             for b in range(5):
-                g = paths._stc_pool(offset, alpha, b)
+                g = stc_pool(offset, alpha, b)
                 assert paths._skew_double_sum(g) == skew_double_sum_literal(g)
     for alpha in range(7):
         g = paths.tsscpp_pool(alpha)
         assert paths._skew_double_sum(g) == skew_double_sum_literal(g)
+
+
+def test_stc_skew_matrices_step_to_the_direct_build():
+    # the first matrix is the double sum at the seed b0, every later one a
+    # rank-2 update; each must equal the double sum of the pool built anew
+    for offset in (0, 1):
+        for alpha in range(9):
+            for b0 in (0, 1, 5):
+                matrices = paths._stc_skew_matrices(offset, alpha, b0)
+                for b, m in zip(range(b0, 13), matrices):
+                    want = paths._skew_double_sum(stc_pool(offset, alpha, b))
+                    assert m == want, (offset, alpha, b0, b)
+
+
+def test_stc_pfaffians_sweep_matches_single_b_routes():
+    for alpha in range(6):
+        assert paths.stc_pfaffians(0, alpha, 8) == [
+            paths.stcpp_enum(alpha, b).value for b in range(9)
+        ]
+        assert paths.stc_pfaffians(1, alpha, 8) == [
+            paths.stcpp_odd_enum(alpha, b).value for b in range(9)
+        ]
+    assert paths.stc_pfaffians(1, 3, 0) == [1]
 
 
 def test_scpp_enum_matches_literal_sc_product():
