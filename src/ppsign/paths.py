@@ -313,11 +313,11 @@ def scpp_enum(a: int, b: int, c: int) -> SignedCount:
 def minor_summation(
     t: Sequence[Sequence[int | Fraction]],
     a: Sequence[Sequence[int | Fraction]],
-    subset_budget: int | None = None,
+    subset_budget: int,
 ) -> tuple[int | Fraction, int | Fraction]:
-    """Both sides of the sum-of-minors identity: the direct subset sum
-    weighted by principal-submatrix Pfaffians, and Pf(tT A T).  The subset
-    sum raises ResourceLimitError past subset_budget row subsets."""
+    """Both sides of the minor-summation formula, for T p x n (n even,
+    n <= p) and A skew: sum over n-subsets K of Pf(A_K)·det(T_K), and
+    Pf(tT A T).  More than subset_budget subsets raise ResourceLimitError."""
     rows, n = exactalg.dims(t)
     if n % 2:
         raise DimensionError("minor summation needs an even number of columns")
@@ -332,7 +332,7 @@ def minor_summation(
         sub = [[a_rows[i][j] for j in subset] for i in subset]
         return exactalg.pfaffian(sub)
 
-    lhs = exactalg.sum_of_minors(t, n, weight=pf_weight, budget=subset_budget)
+    lhs = exactalg.sum_of_minors(t, n, pf_weight, subset_budget)
     rhs = exactalg.pfaffian(
         exactalg.matmul(exactalg.matmul(exactalg.transpose(t), a_rows), t)
     )

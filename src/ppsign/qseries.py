@@ -2,7 +2,8 @@
 formula, and terminating hypergeometric sums.
 
 Everything here is exact: integers stay integers, everything else is a
-`fractions.Fraction`.  No floating point.
+`fractions.Fraction`.  No floating point: a parameter that is not an int
+or a Fraction (a float, a string) raises InvalidInputError.
 """
 
 from __future__ import annotations
@@ -12,12 +13,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, InvalidInputError, SingularParameterError
+from .exactalg import Poly, Rational, _require_rational
 
-Rational = int | Fraction
+
+def integral_value(value: Rational, what: str) -> int:
+    """value as an int; a value off the integers raises
+    InternalConsistencyError naming what it is."""
+    if value.denominator != 1:
+        raise InternalConsistencyError(f"{what} is not an integer: {value}")
+    return int(value)
 
 
-def shifted_factorial(a: Rational, n: int) -> Rational:
-    """Rising factorial a(a+1)...(a+n-1); empty product for n = 0."""
+def shifted_factorial(a: Rational | Poly, n: int) -> Rational | Poly:
+    """Rising factorial a(a+1)...(a+n-1); empty product for n = 0.  The
+    base may also be a Poly, giving the product as a polynomial."""
+    if type(a) is not int and not isinstance(a, Poly):
+        _require_rational((a,))
     if n < 0:
         raise InvalidInputError(f"shifted factorial needs n >= 0, got {n}")
     result: Rational = 1
@@ -33,6 +44,8 @@ def binom(n: Rational, k: int) -> Rational:
     An integral n (an int, or a Fraction with denominator 1) gives an int,
     which is 0 for 0 <= n < k; any other n gives a Fraction.
     """
+    if type(n) is not int:
+        _require_rational((n,))
     integral = n.denominator == 1
     if k < 0:
         return 0 if integral else Fraction(0)
@@ -67,31 +80,30 @@ def qbinom_minus1(n: int, k: int) -> int:
 
 def macmahon_box(a: int, b: int, c: int) -> int:
     """Number of plane partitions in an a x b x c box (product formula)."""
-    if min(a, b, c) < 0:
-        raise InvalidInputError("box sides must be nonnegative")
+    if not all(isinstance(x, int) for x in (a, b, c)) or min(a, b, c) < 0:
+        raise InvalidInputError(f"box sides must be nonnegative ints, got {a!r}, {b!r}, {c!r}")
     value = Fraction(1)
     for i in range(1, a + 1):
         value *= Fraction(shifted_factorial(c + i, b), shifted_factorial(i, b))
-    if value.denominator != 1:
-        raise InternalConsistencyError(f"box product for {a}x{b}x{c} is not an integer")
-    return int(value)
+    return integral_value(value, f"box product for {a}x{b}x{c}")
 
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Parameters of a terminating hypergeometric series rFs(upper; lower; z).
+    """Parameters of a terminating hypergeometric series rFs(upper; lower; 1),
+    the argument fixed at 1 as in the Pfaff-Saalschuetz sum.
 
-    At least one upper parameter must be a nonpositive integer so the sum
-    terminates.
+    Every parameter must be an int or a Fraction, and at least one upper
+    parameter a nonpositive integer so the sum terminates.
     """
 
     upper: tuple[Rational, ...]
     lower: tuple[Rational, ...]
-    argument: Rational = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "upper", tuple(self.upper))
         object.__setattr__(self, "lower", tuple(self.lower))
+        _require_rational(self.upper + self.lower)
         if not any(_is_nonpositive_int(a) for a in self.upper):
             raise InvalidInputError(
                 "series does not terminate: no nonpositive-integer upper parameter"
@@ -104,11 +116,12 @@ class HyperParams:
 
 
 def _is_nonpositive_int(x: Rational) -> bool:
-    return (isinstance(x, int) or x.denominator == 1) and x <= 0
+    return x.denominator == 1 and x <= 0
 
 
 def hyper_terminating(p: HyperParams) -> Fraction:
-    """Exact finite sum of the terminating hypergeometric series."""
+    """Exact sum of the terminating series rFs(upper; lower; 1); a lower
+    factor b + k that reaches 0 raises SingularParameterError."""
     total = Fraction(0)
     term = Fraction(1)
     n = p.terminal_index
@@ -126,12 +139,13 @@ def hyper_terminating(p: HyperParams) -> Fraction:
                     f"lower parameter {idx} hits zero factor at term {k + 1}"
                 )
             term /= factor
-        term *= Fraction(p.argument, k + 1)
+        term /= k + 1
     return total
 
 
 def pfaff_saalschutz_rhs(a: Rational, b: Rational, c: Rational, n: int) -> Fraction:
     """Closed form for the Saalschuetzian 3F2[a, b, -n; c, 1+a+b-c-n; 1]."""
+    _require_rational((a, b, c))
     if n < 0:
         raise InvalidInputError(f"n must be nonnegative, got {n}")
     den = Fraction(shifted_factorial(c, n)) * Fraction(

@@ -1,0 +1,180 @@
+"""Named mutants of the package, each with the tests that must kill it.
+
+A mutant replaces one exact snippet of one file with a wrong variant.  It
+is killed when every test it names fails on the mutated copy; one that
+survives means a test no longer guards the code the mutant breaks.
+Standard library only; this is not a test module (tests/test_source.py
+checks that every snippet still occurs exactly once, so a refactor has to
+carry its mutants along).
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # the named mutants only
+
+Each mutant runs on its own temporary copy of src/, tests/ and
+pyproject.toml, one pytest process at a time, on its named tests only.
+The script prints one line per mutant and exits 1 if any survives, 2 if a
+name is unknown or a snippet does not occur exactly once; a test id pytest
+cannot find raises RuntimeError.  All thirteen take about 7 s on a 2-vCPU
+Linux host.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    snippet: str  # occurs exactly once in path
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids that must all fail
+
+
+_STC_STEP = "tests/test_paths.py::test_stc_skew_matrices_step_to_the_direct_build"
+_RATIONAL = "tests/test_qseries.py::test_non_rational_parameters_raise_invalid_input"
+
+MUTANTS = (
+    # the STC pool builder: s starts at the column sums less the dummy row d
+    Mutant(
+        "stc-drop-dummy-start", "src/ppsign/paths.py",
+        "        s[alpha] -= 1\n", "",
+        (_STC_STEP,),
+    ),
+    Mutant(
+        "stc-seed-with-dummy", "src/ppsign/paths.py",
+        "        s[alpha] -= 1\n", "        s[alpha] += 1\n",
+        (_STC_STEP,),
+    ),
+    Mutant(
+        "stc-flip-update-sign", "src/ppsign/paths.py",
+        "x + si * gj - gi * sj", "x - si * gj + gi * sj",
+        (_STC_STEP,),
+    ),
+    # the minor-summation formula: every minor carries its weight, and the
+    # caller's budget bounds the subsets
+    Mutant(
+        "sum-of-minors-drop-weight", "src/ppsign/exactalg.py",
+        "det([rows[i] for i in subset]) * weight(subset)", "det([rows[i] for i in subset])",
+        ("tests/test_paths.py::test_minor_summation_identity",),
+    ),
+    Mutant(
+        "sum-of-minors-budget-off-by-one", "src/ppsign/exactalg.py",
+        "    if count > budget:\n", "    if count >= budget:\n",
+        ("tests/test_exactalg.py::test_sum_of_minors_trivial_and_budget",),
+    ),
+    Mutant(
+        "minor-summation-ignore-budget", "src/ppsign/paths.py",
+        "exactalg.sum_of_minors(t, n, pf_weight, subset_budget)",
+        "exactalg.sum_of_minors(t, n, pf_weight, 10**6)",
+        ("tests/test_cli.py::test_subset_budget_reaches_minor_summation",),
+    ),
+    # the terminating series is summed at argument 1
+    Mutant(
+        "hyper-argument-minus-one", "src/ppsign/qseries.py",
+        "        term /= k + 1\n", "        term /= -(k + 1)\n",
+        (
+            "tests/test_qseries.py::test_hyper_terminating_examples",
+            "tests/test_qseries.py::test_pfaff_saalschutz_identity",
+        ),
+    ),
+    # count_vsasm's one bound, 15, from both sides
+    Mutant(
+        "vsasm-bound-lower", "src/ppsign/oracle.py",
+        "_VSASM_MAX_ORDER = 15\n", "_VSASM_MAX_ORDER = 13\n",
+        ("tests/test_acceptance.py::test_vsasm_corrected_relation",),
+    ),
+    Mutant(
+        "vsasm-bound-higher", "src/ppsign/oracle.py",
+        "_VSASM_MAX_ORDER = 15\n", "_VSASM_MAX_ORDER = 17\n",
+        ("tests/test_oracle.py::test_count_vsasm_limits",),
+    ),
+    # qseries refuses non-rational parameters, and checks integrality once
+    Mutant(
+        "shifted-factorial-accepts-float", "src/ppsign/qseries.py",
+        "        _require_rational((a,))\n", "        pass\n",
+        (f"{_RATIONAL}[shifted_factorial-float]",),
+    ),
+    Mutant(
+        "binom-skips-rational-check", "src/ppsign/qseries.py",
+        "        _require_rational((n,))\n", "        pass\n",
+        (f"{_RATIONAL}[binom-float]",),
+    ),
+    Mutant(
+        "saalschutz-rhs-skips-rational-check", "src/ppsign/qseries.py",
+        "    _require_rational((a, b, c))\n    if n < 0:", "    if n < 0:",
+        (f"{_RATIONAL}[pfaff_saalschutz_rhs-str]",),
+    ),
+    Mutant(
+        "integral-value-accepts-fraction", "src/ppsign/qseries.py",
+        "    if value.denominator != 1:\n", "    if value.denominator == 0:\n",
+        ("tests/test_qseries.py::test_integral_value_refuses_a_fraction",),
+    ),
+)
+
+
+def _failed_ids(output: str) -> set[str]:
+    """Node ids of the FAILED and ERROR lines of pytest's short summary."""
+    return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE))
+
+
+def run(mutant: Mutant) -> list[str]:
+    """The named tests that pass on a copy with the mutant applied; empty
+    when the mutant is killed."""
+    with tempfile.TemporaryDirectory(prefix="ppsign-mutant-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        target = copy / mutant.path
+        target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE",
+             "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+    if result.returncode not in (0, 1):  # a usage error, or a test id not found
+        raise RuntimeError(f"{mutant.name}: pytest exited {result.returncode}\n{result.stdout}")
+    failed = _failed_ids(result.stdout)
+    return [t for t in mutant.tests if t not in failed]
+
+
+def main(names: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in by_name]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[n] for n in names] if names else list(MUTANTS)
+    stale = [m.name for m in chosen if (ROOT / m.path).read_text().count(m.snippet) != 1]
+    if stale:
+        print(f"snippet not found exactly once: {', '.join(stale)}", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
+    survivors = []
+    for m in chosen:
+        passing = run(m)
+        print(f"{'SURVIVED' if passing else 'killed  '} {m.name}"
+              + "".join(f"\n    still passes: {t}" for t in passing))
+        if passing:
+            survivors.append(m.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed "
+          f"in {time.perf_counter() - started:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -122,12 +122,11 @@ def test_criterion_5_vsasm_remark_alpha_three():
         assert formulas.thm5_tsscpp(3) != oracle.count_vsasm(5)
 
 
-def test_vsasm_corrected_relation(monkeypatch):
-    # the remark's relation beyond alpha = 3, up to order 11, past the
-    # default bound
-    monkeypatch.setattr(oracle, "DEFAULT_VSASM_LIMIT", 11)
-    for alpha in (1, 3, 5, 7, 9, 11):
-        assert formulas.thm5_tsscpp(alpha) == oracle.count_vsasm(alpha)
+def test_vsasm_corrected_relation():
+    # the remark's relation beyond alpha = 3, at every odd order count_vsasm
+    # takes on, up to 15
+    for alpha in range(1, 16, 2):
+        assert formulas.thm5_tsscpp(alpha) == oracle.count_vsasm(alpha), alpha
 
 
 def test_criterion_6_scpp_even():
@@ -208,7 +207,7 @@ def test_criterion_9_identity_suite():
             try:
                 rhs = qseries.pfaff_saalschutz_rhs(a, b, c, n)
                 lhs = qseries.hyper_terminating(
-                    qseries.HyperParams((a, b, -n), (c, 1 + a + b - c - n), 1)
+                    qseries.HyperParams((a, b, -n), (c, 1 + a + b - c - n))
                 )
             except SingularParameterError:
                 continue
@@ -226,7 +225,7 @@ def test_criterion_9_identity_suite():
                     a_m[j][i] = -a_m[i][j]
             if trial % 2 == 0:
                 a_m = sgn_matrix(p)
-            lhs, rhs = paths.minor_summation(t, a_m)
+            lhs, rhs = paths.minor_summation(t, a_m, 10**6)
             assert lhs == rhs
         # reduced-matrix recurrence and half-integer divisibility
         for alpha in (2, 4, 6):

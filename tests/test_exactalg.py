@@ -392,9 +392,9 @@ def test_flipped_skew_elimination_trips_the_matching_check(monkeypatch):
 
 
 def test_sum_of_minors_trivial_and_budget():
-    assert exactalg.sum_of_minors([[1, 0], [0, 1]], 2) == 1
+    assert exactalg.sum_of_minors([[1, 0], [0, 1]], 2, lambda subset: 1, 1) == 1
     with pytest.raises(ResourceLimitError):
-        exactalg.sum_of_minors([[1] * 3 for _ in range(40)], 3, budget=10)
+        exactalg.sum_of_minors([[1] * 3 for _ in range(40)], 3, lambda subset: 1, 10)
 
 
 def test_interpolate_examples():
@@ -455,7 +455,7 @@ def test_interpolate_rejects_bad_abscissae():
         lambda: exactalg.det([[0.5]]),
         lambda: exactalg.det([[1, 2], [3, 0.5]]),
         lambda: exactalg.det([[1] * 12 for _ in range(11)] + [[1.0] * 12]),
-        lambda: exactalg.sum_of_minors([[0.5], [1]], 1),
+        lambda: exactalg.sum_of_minors([[0.5], [1]], 1, lambda subset: 1, 2),
         lambda: exactalg.pfaffian([[0, 0.5], [-0.5, 0]]),
         lambda: exactalg.pfaffian([[0, "1"], ["-1", 0]]),
         lambda: Poly([0.1]),

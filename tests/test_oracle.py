@@ -5,7 +5,7 @@ import pytest
 
 from ppsign import formulas, oracle, qseries
 from ppsign.core import BoxDims, SymmetryClass, check_box_shape
-from ppsign.errors import ResourceLimitError, ShapeError, UnsupportedClassError
+from ppsign.errors import InvalidInputError, ResourceLimitError, ShapeError, UnsupportedClassError
 from ppsign.oracle import WeightKind, WeightTag
 
 from oracles import alternating_sign_matrices, enumerate_class_rows, vsasm_count_by_filter
@@ -330,9 +330,11 @@ def test_count_vsasm_values():
 
 
 def test_count_vsasm_limits():
+    # 15 is the largest odd order counted; an even order is 0 at any size
     with pytest.raises(ResourceLimitError):
-        oracle.count_vsasm(9)
-    with pytest.raises(Exception):
+        oracle.count_vsasm(17)
+    assert oracle.count_vsasm(18) == 0
+    with pytest.raises(InvalidInputError):
         oracle.count_vsasm(0)
 
 

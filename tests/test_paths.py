@@ -336,16 +336,20 @@ def test_stc_anchor_pfaffian_computed_once_per_pool_and_alpha(monkeypatch):
     assert len(calls) == 2 * 5 + 2
 
 
+# more row subsets than any minor summation test takes
+SUBSET_BUDGET = 10**6
+
+
 def test_minor_summation_identity():
     rng = random.Random(42)
     # sign-matrix specialization
     t = [[1, 0], [0, 1]]
-    lhs, rhs = paths.minor_summation(t, sgn_matrix(2))
+    lhs, rhs = paths.minor_summation(t, sgn_matrix(2), SUBSET_BUDGET)
     assert lhs == rhs == 1
     for _ in range(40):
         p, n = 6, 2
         t = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(p)]
-        lhs, rhs = paths.minor_summation(t, sgn_matrix(p))
+        lhs, rhs = paths.minor_summation(t, sgn_matrix(p), SUBSET_BUDGET)
         assert lhs == rhs
     # general skew weight matrix
     for _ in range(40):
@@ -356,13 +360,13 @@ def test_minor_summation_identity():
             for j in range(i + 1, p):
                 a[i][j] = rng.randint(-5, 5)
                 a[j][i] = -a[i][j]
-        lhs, rhs = paths.minor_summation(t, a)
+        lhs, rhs = paths.minor_summation(t, a, SUBSET_BUDGET)
         assert lhs == rhs
 
 
 def test_minor_summation_rejects_odd_width():
     with pytest.raises(DimensionError):
-        paths.minor_summation([[1], [2], [3]], sgn_matrix(3))
+        paths.minor_summation([[1], [2], [3]], sgn_matrix(3), SUBSET_BUDGET)
 
 
 def test_tsscpp_pool_entries_are_weighted_path_counts():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppsign import qseries
-from ppsign.errors import InvalidInputError, SingularParameterError
+from ppsign.errors import InternalConsistencyError, InvalidInputError, SingularParameterError
 
 from oracles import gaussian_binomial_at
 
@@ -75,11 +75,45 @@ def test_macmahon_box_symmetric_in_arguments():
         assert len(values) == 1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qseries.shifted_factorial(1.5, 2),
+        lambda: qseries.pfaff_saalschutz_rhs(0.5, 1, 2, 2),
+        lambda: qseries.pfaff_saalschutz_rhs("1", 1, 2, 2),
+        lambda: qseries.binom(1.5, 2),
+        lambda: qseries.HyperParams((1.5, -2), ()),
+        lambda: qseries.HyperParams((1, -2), ("3",)),
+        lambda: qseries.macmahon_box(1.5, 2, 2),
+        lambda: qseries.macmahon_box(2, Fraction(3, 2), 2),
+    ],
+    ids=[
+        "shifted_factorial-float",
+        "pfaff_saalschutz_rhs-float",
+        "pfaff_saalschutz_rhs-str",
+        "binom-float",
+        "hyperparams-float-upper",
+        "hyperparams-str-lower",
+        "macmahon_box-float",
+        "macmahon_box-fraction-side",
+    ],
+)
+def test_non_rational_parameters_raise_invalid_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_integral_value_refuses_a_fraction():
+    assert qseries.integral_value(Fraction(6, 3), "six thirds") == 2
+    with pytest.raises(InternalConsistencyError, match="half is not an integer: 1/2"):
+        qseries.integral_value(Fraction(1, 2), "half")
+
+
 def test_hyper_terminating_examples():
     # a leading upper parameter 0 kills everything after the first term
     p = qseries.HyperParams((0, Fraction(5, 2)), (Fraction(3, 2),))
     assert qseries.hyper_terminating(p) == 1
-    p = qseries.HyperParams((1, 1, -2), (3, -2), 1)
+    p = qseries.HyperParams((1, 1, -2), (3, -2))
     assert qseries.hyper_terminating(p) == Fraction(3, 2)
 
 
@@ -91,7 +125,7 @@ def test_hyper_requires_terminating_parameter():
 def test_hyper_reports_zero_lower_factor():
     # lower parameter -1 vanishes at the second term of a sum to n = 3
     with pytest.raises(SingularParameterError):
-        qseries.hyper_terminating(qseries.HyperParams((1, -3), (-1,), 1))
+        qseries.hyper_terminating(qseries.HyperParams((1, -3), (-1,)))
 
 
 def test_pfaff_saalschutz_rhs_values():
@@ -103,7 +137,7 @@ def test_pfaff_saalschutz_rhs_values():
 def _saalschuetzian_pair(a, b, c, n):
     lower2 = 1 + a + b - c - n
     lhs = qseries.hyper_terminating(
-        qseries.HyperParams((a, b, -n), (c, lower2), 1)
+        qseries.HyperParams((a, b, -n), (c, lower2))
     )
     rhs = qseries.pfaff_saalschutz_rhs(a, b, c, n)
     return lhs, rhs

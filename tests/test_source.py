@@ -3,6 +3,8 @@ from pathlib import Path
 
 import ppsign
 
+from mutants import MUTANTS, ROOT
+
 SOURCE = Path(ppsign.__file__).parent
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -102,3 +104,18 @@ def test_every_public_function_has_a_caller_in_the_program():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     assert [full for full, name in _public_definitions() if name not in loaded] == []
+
+
+def test_every_mutant_snippet_occurs_once():
+    # a refactor of mutated code carries its mutants in tests/mutants.py
+    # along instead of dropping them silently; each named test exists
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        assert (ROOT / m.path).read_text().count(m.snippet) == 1, m.name
+        assert m.replacement != m.snippet, m.name
+        for node in m.tests:
+            path, name = node.split("::")
+            function, _, param = name.partition("[")
+            text = (ROOT / path).read_text()
+            assert f"\ndef {function}(" in text, (m.name, node)
+            assert not param or f'"{param[:-1]}"' in text, (m.name, node)
