@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that an
+integer argument is an int."""
 
 
 class PPSignError(Exception):
@@ -39,3 +40,10 @@ class NeedsMoreSamplesError(PPSignError, ValueError):
 
 class InternalConsistencyError(PPSignError, AssertionError):
     """Two routes that must agree exactly did not; indicates a bug."""
+
+
+def require_int(values: tuple[object, ...], what: str) -> None:
+    """Raise InvalidInputError unless every value is an int; what names one."""
+    for x in values:
+        if not isinstance(x, int):
+            raise InvalidInputError(f"{what} must be an int, got {x!r}")

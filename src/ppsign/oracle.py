@@ -10,9 +10,12 @@ conditions (symmetry, rotation, complementation) once more; those do not
 test that a leaf is a plane partition, so the bounds alone keep
 non-partitions out.  The rules are compiled once per walk into flat-list
 indices, and each is decided at the choice cell that fixes its last
-unknown rather than at the forced cell it constrains (forward checking);
-a value that counts over complete rows fix is written at the start of
-the next row, where it is checked and bounds the cells in between.  Every
+unknown rather than at the forced cell it constrains (forward checking).
+For every class without cyclic counts (TC, STC, SC, PLAIN, SYMMETRIC) each
+root's bounds are also projected onto the earlier roots, so the walk there
+meets no dead end: every node lies on the path to a member.  In a cyclic
+class a value that counts over complete rows fix is written at the start
+of the next row, where it is checked and bounds the cells in between.  Every
 cell but a copy runs a tuple of interval evaluations, its own and the
 values it writes ahead, through one evaluator, and every value tried goes
 down one path for the node count, the budget, the leaf and the back-up.
@@ -38,6 +41,7 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
     UnsupportedClassError,
+    require_int,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -75,12 +79,14 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
     A node is one value tried at one cell.  A checked cell runs its
     evaluations (see _compile) in one loop: each cuts [0, c] to an interval
     [lo, hi] by its bounds and counts and sets h[cell] = lo, and an empty
-    one makes the cell a dead end, which backs up with no node.  The cell
-    keeps its own interval's top in top[idx]; a forced cell's interval
-    holds at most one value.  Every value then goes down one path that
-    counts the node, checks the budget, tests the leaf and, once the cell
-    is exhausted, backs up straight to back[idx], the last earlier choice
-    cell, since every forced cell in between has no second value.  A run
+    one makes the cell a dead end, which backs up with no node; only the
+    cyclic classes meet one, since _compile projects every other class's
+    bounds onto the earlier roots.  The cell keeps its own interval's top
+    in top[idx]; a forced cell's interval holds at most one value.  Every
+    value then goes down one path that counts the node, checks the budget,
+    tests the leaf and, once the cell is exhausted, backs up straight to
+    back[idx], the last earlier choice cell, since every forced cell in
+    between has no second value.  A run
     of copies is one step: each cell of it is offset + factor * h[root],
     all in one pass (no root lies inside the run), counting one node per
     cell.  It keeps its own tail: every leaf of TC, STC and SC ends such a
@@ -202,14 +208,28 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     step, t, free_size, offset, factor): the bound offset + factor * m from
     below if factor > 0, from above if factor < 0, and on both sides unless
     m == free_size.  A count past the root stays on its cell, next to the
-    cell's own value as a bound on both sides.  A cell that is not a root,
-    or a root with a count over a complete row (free_size -1), is forced:
-    it has at most one candidate.  A forced cell left with no rule is a
-    copy of its own value (offset, factor, root), and is not checked.  A
-    maximal run of consecutive copies is one entry at its first cell; the
-    cells after it in the run get None, since the walk steps over the
-    whole run.  A root is never a copy,
-    so no copy in a run reads another.
+    cell's own value as a bound on both sides.
+
+    A class without cyclic counts then eliminates its roots from last to
+    first (directional consistency: Dechter, Meiri and Pearl, Artificial
+    Intelligence 49, 1991).  Root r has a value once every bound on it from
+    below, low, is at most every bound from above, high, the domain [0, c]
+    included; require turns each such low <= high into a bound on the later
+    root of the two, 2 * h <= k into h <= k // 2 and 2 * h >= k into h >= the
+    ceiling of k / 2, and keeps the tightest offset per (factor, index).
+    Each added bound follows from the rules over the integers, so no member
+    is cut and no rule is dropped; and since the bounds are added before r's
+    earlier roots are themselves eliminated, the walk finds a nonempty
+    interval at every root.  The cyclic classes keep their plans: their
+    counts, which this step does not read, leave dead ends it cannot remove.
+
+    A cell that is not a root, or a root with a count over a complete row
+    (free_size -1), is forced: it has at most one candidate.  A forced cell
+    left with no rule is a copy of its own value (offset, factor, root),
+    and is not checked.  A maximal run of consecutive copies is one entry
+    at its first cell; the cells after it in the run get None, since the
+    walk steps over the whole run.  A root is never a copy, so no copy in a
+    run reads another.
 
     A forced cell r whose counts over complete rows end at cell e, with
     e + 1 < r, is also written ahead.  Cell e + 1 starts a row below row 0
@@ -298,6 +318,15 @@ def _compile(box: BoxDims, cls: SymmetryClass):
                     counts[root].append((start, stop, step, t, free_size, -factor * offset, factor))
                 else:
                     counts[idx].append((start, stop, step, t, free_size, 0, 1))
+
+    for r in range(n - 1, -1, -1) if not cls.is_cyclic else ():
+        # h[r] has a value, and each one extends to a member, once every
+        # low <= high on it holds on the earlier roots, [0, c] included (a
+        # cell that is not a root has no bounds)
+        low = [(o, f, k) for (f, k), o in lows[r].items()] + [(0, 0, n)]
+        high = [(o, f, k) for (f, k), o in highs[r].items()] + [(c, 0, n)]
+        if not all(require(x, y) for x in low for y in high):
+            return None
 
     ahead = [[] for _ in range(n)]  # ahead[e + 1]: the writes made on entering cell e + 1
     for r in range(n) if cls.is_symmetric or cls.has_complementation else ():
@@ -447,6 +476,7 @@ def count_vsasm(n: int) -> int:
     15, the largest order counted in under 1 s, raises ResourceLimitError;
     an even n is 0 at any size.
     """
+    require_int((n,), "the matrix size")
     if n < 1:
         raise InvalidInputError(f"matrix size must be positive, got {n}")
     if n % 2 == 0:

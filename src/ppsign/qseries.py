@@ -3,7 +3,8 @@ formula, and terminating hypergeometric sums.
 
 Everything here is exact: integers stay integers, everything else is a
 `fractions.Fraction`.  No floating point: a parameter that is not an int
-or a Fraction (a float, a string) raises InvalidInputError.
+or a Fraction (a float, a string), or an order, a lower index or a box side
+that is not an int, raises InvalidInputError.
 """
 
 from __future__ import annotations
@@ -12,7 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalConsistencyError, InvalidInputError, SingularParameterError
+from .errors import (
+    InternalConsistencyError,
+    InvalidInputError,
+    SingularParameterError,
+    require_int,
+)
 from .exactalg import Poly, Rational, _require_rational
 
 
@@ -29,6 +35,8 @@ def shifted_factorial(a: Rational | Poly, n: int) -> Rational | Poly:
     base may also be a Poly, giving the product as a polynomial."""
     if type(a) is not int and not isinstance(a, Poly):
         _require_rational((a,))
+    if type(n) is not int:
+        require_int((n,), "the order of a shifted factorial")
     if n < 0:
         raise InvalidInputError(f"shifted factorial needs n >= 0, got {n}")
     result: Rational = 1
@@ -46,6 +54,8 @@ def binom(n: Rational, k: int) -> Rational:
     """
     if type(n) is not int:
         _require_rational((n,))
+    if type(k) is not int:
+        require_int((k,), "the lower index of a binomial")
     integral = n.denominator == 1
     if k < 0:
         return 0 if integral else Fraction(0)
@@ -67,21 +77,26 @@ def qbinom_minus1(n: int, k: int) -> int:
     """Gaussian binomial [n k]_q evaluated at q = -1.
 
     Vanishes for even n and odd k, otherwise reduces to an ordinary
-    binomial of the halved arguments.
+    binomial of the halved arguments.  The parity test comes first on
+    every call, and & takes only integers, so a float or a Fraction raises
+    InvalidInputError there with no separate type test on the hot path.
     """
-    if n < 0:
-        raise InvalidInputError(f"qbinom_minus1 needs n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    if n % 2 == 0 and k % 2 == 1:
-        return 0
-    return math.comb(n // 2, k // 2)
+    try:
+        if n < 0:
+            raise InvalidInputError(f"qbinom_minus1 needs n >= 0, got {n}")
+        if k & 1 > n & 1 or k < 0 or k > n:
+            return 0
+    except TypeError:
+        require_int((n, k), "each argument of qbinom_minus1")
+        raise
+    return math.comb(n >> 1, k >> 1)
 
 
 def macmahon_box(a: int, b: int, c: int) -> int:
     """Number of plane partitions in an a x b x c box (product formula)."""
-    if not all(isinstance(x, int) for x in (a, b, c)) or min(a, b, c) < 0:
-        raise InvalidInputError(f"box sides must be nonnegative ints, got {a!r}, {b!r}, {c!r}")
+    require_int((a, b, c), "each box side")
+    if min(a, b, c) < 0:
+        raise InvalidInputError(f"box sides must be nonnegative, got {a}, {b}, {c}")
     value = Fraction(1)
     for i in range(1, a + 1):
         value *= Fraction(shifted_factorial(c + i, b), shifted_factorial(i, b))

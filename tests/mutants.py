@@ -14,7 +14,7 @@ Each mutant runs on its own temporary copy of src/, tests/ and
 pyproject.toml, one pytest process at a time, on its named tests only.
 The script prints one line per mutant and exits 1 if any survives, 2 if a
 name is unknown or a snippet does not occur exactly once; a test id pytest
-cannot find raises RuntimeError.  All thirteen take about 7 s on a 2-vCPU
+cannot find raises RuntimeError.  All sixteen take about 9 s on a 2-vCPU
 Linux host.
 """
 
@@ -44,6 +44,9 @@ class Mutant:
 
 _STC_STEP = "tests/test_paths.py::test_stc_skew_matrices_step_to_the_direct_build"
 _RATIONAL = "tests/test_qseries.py::test_non_rational_parameters_raise_invalid_input"
+_BACKTRACK_FREE = "tests/test_oracle.py::test_non_cyclic_walk_is_backtrack_free"
+_SIDE_PERMUTATION = "tests/test_oracle.py::test_sc_count_is_invariant_under_side_permutation"
+_INTERIOR_RUN = "tests/test_oracle.py::test_budget_stop_inside_an_interior_run_of_copies"
 
 MUTANTS = (
     # the STC pool builder: s starts at the column sums less the dummy row d
@@ -79,6 +82,28 @@ MUTANTS = (
         "exactalg.sum_of_minors(t, n, pf_weight, subset_budget)",
         "exactalg.sum_of_minors(t, n, pf_weight, 10**6)",
         ("tests/test_cli.py::test_subset_budget_reaches_minor_summation",),
+    ),
+    # the oracle's compiler projects each root's bounds onto the earlier
+    # roots through its one combiner, require(low, high), which takes low
+    # from high and halves a doubled root toward the feasible side.  Every
+    # odd halving it meets is a lower bound, 2 * h >= c on the first cell
+    # of an SC complement pair; an upper one meets only an even k (every
+    # class, sides up to 10, volume up to 300), so rounding it up is no test
+    Mutant(
+        "oracle-skip-projection", "src/ppsign/oracle.py",
+        "    for r in range(n - 1, -1, -1) if not cls.is_cyclic else ():\n",
+        "    for r in ():\n",
+        (_BACKTRACK_FREE, _INTERIOR_RUN),
+    ),
+    Mutant(
+        "oracle-halved-low-rounded-down", "src/ppsign/oracle.py",
+        "(-e, index), -(const // f)", "(-e, index), -const // f",
+        (_BACKTRACK_FREE, _SIDE_PERMUTATION),
+    ),
+    Mutant(
+        "oracle-combine-without-sign", "src/ppsign/oracle.py",
+        "terms.get(root, 0) + sign * factor", "terms.get(root, 0) + factor",
+        ("tests/test_oracle.py::test_signed_count_examples", _SIDE_PERMUTATION),
     ),
     # the terminating series is summed at argument 1
     Mutant(

@@ -94,9 +94,9 @@ def pin_ids(pins):
 
 # (class, box, nodes of the row reference, nodes of the walk)
 NODE_PINS = [
-    (SC.TC, (4, 4, 4), 1_062, 877),
-    (SC.STC, (5, 5, 4), 1_229, 1_063),
-    (SC.SC, (4, 4, 4), 7_651, 5_007),
+    (SC.TC, (4, 4, 4), 1_062, 846),
+    (SC.STC, (5, 5, 4), 1_229, 997),
+    (SC.SC, (4, 4, 4), 7_651, 4_071),
     (SC.CSTC, (4, 4, 4), 117, 70),
     (SC.CSSC, (4, 4, 4), 682, 191),
     (SC.TSSC, (4, 4, 4), 449, 97),
@@ -115,10 +115,10 @@ def test_walk_node_counts_are_pinned(cls, box, reference, nodes):
 
 
 BENCHMARK_PINS = [
-    (SC.TC, (6, 6, 4), 95_410, 80_164),
-    (SC.STC, (7, 7, 4), 21_482, 18_912),
-    (SC.SC, (6, 4, 4), 102_630, 59_103),
-    (SC.SC, (4, 5, 5), 78_505, 35_310),
+    (SC.TC, (6, 6, 4), 95_410, 76_045),
+    (SC.STC, (7, 7, 4), 21_482, 17_504),
+    (SC.SC, (6, 4, 4), 102_630, 36_637),
+    (SC.SC, (4, 5, 5), 78_505, 29_996),
     (SC.CSTC, (6, 6, 6), 3_653, 1_095),
     (SC.CSSC, (6, 6, 6), 144_567, 4_662),
     (SC.TSSC, (6, 6, 6), 47_828, 1_342),
@@ -134,6 +134,25 @@ def test_walk_node_counts_at_benchmark_scale(cls, box, reference, nodes):
     assert reference_nodes == reference
     assert heights_list(box, cls) == members
     assert visits_exactly(box, cls, nodes)
+
+
+def test_non_cyclic_walk_is_backtrack_free():
+    # each root's bounds are projected onto the earlier roots, so every
+    # node lies on the path to a member: the walk visits each distinct
+    # prefix of a member once and no other (without the projection, SC
+    # 5x4x4 takes 16,132 nodes for its 12,497 prefixes)
+    for cls in (SC.TC, SC.STC, SC.SC):
+        for a, b, c in product(range(1, 9), repeat=3):
+            box = BoxDims(a, b, c)
+            if box.volume() > 100:
+                continue
+            try:
+                check_box_shape(box, cls)
+            except ShapeError:
+                continue
+            members = [sum(heights, ()) for heights in heights_list(box, cls)]
+            prefixes = sum(len({h[:idx + 1] for h in members}) for idx in range(a * b))
+            assert visits_exactly(box, cls, prefixes), (cls, box)
 
 
 def members_before_stop(box, cls, budget):
@@ -172,14 +191,15 @@ def test_budget_stop_inside_the_tail_run_of_copies(cls, box, reference, nodes):
 
 def test_budget_stop_inside_an_interior_run_of_copies():
     # STC 7x7x6 copies cells 12..15 between choice cells, and the path to
-    # each of the first two members passes through them, so the budgets
-    # up to the second member's node count include some that end mid-run
+    # each of the first two members (49 and 98 nodes) passes through them,
+    # so the budgets short of the third member's 146 include some that end
+    # mid-run
     box, cls = BoxDims(7, 7, 6), SC.STC
     assert (12, 16) in copy_runs(box, cls)
-    full, stopped = members_before_stop(box, cls, 152_082)
+    full, stopped = members_before_stop(box, cls, 142_314)
     assert not stopped and len(full) > 2
     yielded = 0
-    for budget in range(400):
+    for budget in range(146):
         members, stopped = members_before_stop(box, cls, budget)
         assert stopped, budget
         assert members == full[:len(members)], budget
@@ -336,6 +356,11 @@ def test_count_vsasm_limits():
     assert oracle.count_vsasm(18) == 0
     with pytest.raises(InvalidInputError):
         oracle.count_vsasm(0)
+
+
+def test_count_vsasm_refuses_a_float_order():
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        oracle.count_vsasm(9.0)
 
 
 def test_count_vsasm_matches_asm_filter():

@@ -103,6 +103,27 @@ def test_non_rational_parameters_raise_invalid_input(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qseries.qbinom_minus1(4.0, 2),
+        lambda: qseries.qbinom_minus1(4, 1.0),
+        lambda: qseries.shifted_factorial(2, 1.5),
+        lambda: qseries.binom(2, 1.5),
+    ],
+    ids=[
+        "qbinom_minus1-float-n",
+        "qbinom_minus1-float-k",
+        "shifted_factorial-float-n",
+        "binom-float-k",
+    ],
+)
+def test_non_int_orders_raise_invalid_input(call):
+    # each raised an untyped TypeError, or (qbinom_minus1(4, 1.0)) returned 0
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        call()
+
+
 def test_integral_value_refuses_a_fraction():
     assert qseries.integral_value(Fraction(6, 3), "six thirds") == 2
     with pytest.raises(InternalConsistencyError, match="half is not an integer: 1/2"):
