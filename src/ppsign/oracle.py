@@ -19,9 +19,12 @@ of the next row, where it is checked and bounds the cells in between.  Every
 cell but a copy runs a tuple of interval evaluations, its own and the
 values it writes ahead, through one evaluator, and every value tried goes
 down one path for the node count, the budget, the leaf and the back-up.
+A copy, a cell whose rules all moved to its root, is written each time its
+root takes a value, and a member's statistic, a sum over a per-cell table,
+is read off the path as it grows rather than over every cell at the leaf.
 tests/oracles.py keeps the unpruned walk that reads the rules off a matrix
 of rows at every node as the reference: the same members in the same
-order, in no more nodes.
+order, in no more nodes; and the per-leaf sum as the statistic's.
 """
 
 from __future__ import annotations
@@ -67,14 +70,19 @@ def enumerate_class(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[PlanePartition]:
     """Yield every plane partition of the class in the box exactly once,
-    in lexicographic order of the height matrix."""
+    in lexicographic order of the height matrix; the walk's statistic, over
+    an all-zero table, is not read."""
     a, b = box.a, box.b
-    for h in _walk(box, cls, node_budget):
+    table = [[0] * (box.c + 1)] * (a * b)
+    for h, _ in _walk(box, cls, table, node_budget):
         yield PlanePartition(box, tuple(tuple(h[i * b:(i + 1) * b]) for i in range(a)))
 
 
-def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[int]]:
-    """Yield every member as one reused row-major height list, lexicographically.
+def _walk(
+    box: BoxDims, cls: SymmetryClass, table: list[list[int]], node_budget: int
+) -> Iterator[tuple[list[int], int]]:
+    """Yield every member, lexicographically, as one reused row-major
+    height list h with its statistic sum(table[idx][h[idx]] for idx < n).
 
     A node is one value tried at one cell.  A checked cell runs its
     evaluations (see _compile) in one loop: each cuts [0, c] to an interval
@@ -84,15 +92,23 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
     bounds onto the earlier roots.  The cell keeps its own interval's top
     in top[idx]; a forced cell's interval holds at most one value.  Every
     value then goes down one path that counts the node, checks the budget,
-    tests the leaf and, once the cell is exhausted, backs up straight to
-    back[idx], the last earlier choice cell, since every forced cell in
-    between has no second value.  A run
-    of copies is one step: each cell of it is offset + factor * h[root],
-    all in one pass (no root lies inside the run), counting one node per
-    cell.  It keeps its own tail: every leaf of TC, STC and SC ends such a
-    run, and the per-value path costs more there.  Each leaf gets every
-    class condition through core.class_predicate, fetched once before the
-    walk starts.
+    writes the cell's dependents and its share of the statistic, tests the
+    leaf and, once the cell is exhausted, backs up straight to back[idx],
+    the last earlier choice cell, since every forced cell in between has no
+    second value.
+
+    Every cell of a run of copies is offset + factor * h[root] for a root
+    before the run.  A constant copy (factor 0) is written once, before the
+    walk starts; every other one is a dependent of its root, written each
+    time the root takes a value, so a run is one step that only charges one
+    node per cell and checks the budget.  The statistic is read off the
+    path the same way: rows[r][v] is table[r][v] plus the table row of each
+    dependent of r at its value when h[r] = v, and acc[idx] is acc[prev[idx]]
+    + rows[idx][h[idx]], prev[idx] the last node cell before idx (n, whose
+    acc holds the constant copies' share, before the first).  A leaf's
+    statistic is the acc of its last node cell.  Each leaf gets every class
+    condition through core.class_predicate, fetched once before the walk
+    starts.
     """
     accept = core.class_predicate(box, cls)  # checks the box shape
     n = box.a * box.b
@@ -100,27 +116,46 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
     h = [0] * n + [c]  # h[n] is the sentinel c
     if n == 0:
         if accept(h):
-            yield h
+            yield h, 0
         return
     plan = _compile(box, cls)
     if plan is None:
         return  # class empty: a self-paired cell at odd height, or a contradiction
 
     back = []
+    prev = []
+    deps = [[] for _ in range(n)]  # deps[root]: (cell, offset, factor) of each copy of root
+    rows = list(table)  # each fold below builds a new row
+    acc = [0] * (n + 1)
     choice = -1
+    node = n
     for idx, step in enumerate(plan):
         back.append(choice)
-        if step is not None and step[2]:
+        prev.append(node)
+        if step is None:
+            continue
+        _, copies, is_choice = step
+        if is_choice:
             choice = idx
+        if not copies:
+            node = idx
+            continue
+        for cell, (offset, factor, root) in enumerate(copies, idx):
+            values = table[cell]
+            if not factor:
+                h[cell] = offset
+                acc[n] += values[offset]
+                continue
+            deps[root].append((cell, offset, factor))  # h[cell] is h[root] or c - h[root]
+            rows[root] = [s + values[offset + factor * v] for v, s in enumerate(rows[root])]
     last = n - 1
     top = [0] * n  # top[idx]: the last candidate of cell idx
     nodes = 0
     idx = 0
     while True:
         evals, copies, _ = plan[idx]
-        if copies:  # the rules on their roots keep them in range
+        if copies:  # their roots wrote them, and the rules on the roots keep them in range
             stop = idx + len(copies)
-            h[idx:stop] = [offset + factor * h[index] for offset, factor, index in copies]
             nodes += stop - idx
             if nodes > node_budget:
                 raise _budget_error(node_budget, cls, box)
@@ -128,7 +163,7 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
                 idx = stop
                 continue
             if accept(h):
-                yield h
+                yield h, acc[prev[idx]]
             idx = back[idx]
             if idx < 0:
                 return
@@ -158,7 +193,8 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
                 h[cell] = lo
                 top[cell] = hi  # a later cell r sets its own again on its visit
         while True:  # cell idx at value h[idx]
-            if h[idx] > top[idx]:  # exhausted: back up to the last choice
+            v = h[idx]
+            if v > top[idx]:  # exhausted: back up to the last choice
                 idx = back[idx]
                 if idx < 0:
                     return
@@ -167,10 +203,13 @@ def _walk(box: BoxDims, cls: SymmetryClass, node_budget: int) -> Iterator[list[i
             nodes += 1
             if nodes > node_budget:
                 raise _budget_error(node_budget, cls, box)
+            for cell, offset, factor in deps[idx]:
+                h[cell] = offset + factor * v
+            acc[idx] = acc[prev[idx]] + rows[idx][v]
             if idx < last:
                 break
             if accept(h):
-                yield h
+                yield h, acc[idx]
             h[idx] += 1
         idx += 1
 
@@ -397,7 +436,8 @@ def signed_count(
         reference = [v for row in rows for v in row]
         convention = "reference: canonical (+1) partition"
     except UnsupportedClassError:
-        reference = next(_walk(box, cls, node_budget), None)
+        table = [[0] * (box.c + 1)] * (box.a * box.b)  # no statistic: the first member only
+        reference = next((h for h, _ in _walk(box, cls, table, node_budget)), None)
         convention = "reference: lexicographically first member (global sign arbitrary)"
     if reference is None:
         return SignedCount(0, "empty class")
@@ -420,15 +460,15 @@ def _tally(
     against their bit, (h[idx] >= k) != bit, counted in one walk.
 
     table[idx][v] counts the reps at idx that height v holds against their
-    bit, so sum(map(list.__getitem__, table, h)) is a member's statistic;
-    the sentinel h[n] has no row, so map leaves it out.
+    bit, so a member's statistic is sum(table[idx][h[idx]] for idx < n),
+    which _walk reads off its path.
     """
     table = [[0] * (box.c + 1) for _ in range(box.a * box.b)]
     for index, k, bit in reps:
         row = table[index]
         for v in range(box.c + 1):
             row[v] += (v >= k) != bit
-    return Counter(sum(map(list.__getitem__, table, h)) for h in _walk(box, cls, node_budget))
+    return Counter(s for _, s in _walk(box, cls, table, node_budget))
 
 
 def weighted_count(

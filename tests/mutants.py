@@ -14,8 +14,8 @@ Each mutant runs on its own temporary copy of src/, tests/ and
 pyproject.toml, one pytest process at a time, on its named tests only.
 The script prints one line per mutant and exits 1 if any survives, 2 if a
 name is unknown or a snippet does not occur exactly once; a test id pytest
-cannot find raises RuntimeError.  All sixteen take about 9 s on a 2-vCPU
-Linux host.
+cannot find raises RuntimeError.  All twenty-four take about 40 s on a
+shared 2-vCPU Linux host.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ _RATIONAL = "tests/test_qseries.py::test_non_rational_parameters_raise_invalid_i
 _BACKTRACK_FREE = "tests/test_oracle.py::test_non_cyclic_walk_is_backtrack_free"
 _SIDE_PERMUTATION = "tests/test_oracle.py::test_sc_count_is_invariant_under_side_permutation"
 _INTERIOR_RUN = "tests/test_oracle.py::test_budget_stop_inside_an_interior_run_of_copies"
+_PER_LEAF = "tests/test_oracle.py::test_tally_matches_the_per_leaf_sum"
 
 MUTANTS = (
     # the STC pool builder: s starts at the column sums less the dummy row d
@@ -104,6 +105,61 @@ MUTANTS = (
         "oracle-combine-without-sign", "src/ppsign/oracle.py",
         "terms.get(root, 0) + sign * factor", "terms.get(root, 0) + factor",
         ("tests/test_oracle.py::test_signed_count_examples", _SIDE_PERMUTATION),
+    ),
+    # the oracle's walk writes each copy cell when its root takes a value
+    # and reads the statistic off the path: a root's row holds its copies'
+    # rows, acc chains over the cells that are nodes, and the constant
+    # copies sit in the base acc[n]
+    Mutant(
+        "oracle-root-skips-first-dependent", "src/ppsign/oracle.py",
+        "            for cell, offset, factor in deps[idx]:\n",
+        "            for cell, offset, factor in deps[idx][1:]:\n",
+        (_BACKTRACK_FREE, "tests/test_oracle.py::test_enumerate_examples",
+         "tests/test_oracle.py::test_signed_count_examples"),
+    ),
+    Mutant(
+        "oracle-acc-from-the-cell-before", "src/ppsign/oracle.py",
+        "acc[idx] = acc[prev[idx]] + rows[idx][v]", "acc[idx] = acc[idx - 1] + rows[idx][v]",
+        (_PER_LEAF, "tests/test_oracle.py::test_signed_counts_alpha_three_boxes"),
+    ),
+    Mutant(
+        "oracle-fold-skips-copy-row", "src/ppsign/oracle.py",
+        "[s + values[offset + factor * v] for", "[s for",
+        (_PER_LEAF,),
+    ),
+    Mutant(
+        "oracle-drop-constant-base", "src/ppsign/oracle.py",
+        "                acc[n] += values[offset]\n", "",
+        (_PER_LEAF,),
+    ),
+    # a run of copies is charged one node per cell before the budget test
+    Mutant(
+        "oracle-run-budget-before-charge", "src/ppsign/oracle.py",
+        "            nodes += stop - idx\n"
+        "            if nodes > node_budget:\n"
+        "                raise _budget_error(node_budget, cls, box)\n",
+        "            if nodes > node_budget:\n"
+        "                raise _budget_error(node_budget, cls, box)\n"
+        "            nodes += stop - idx\n",
+        (_BACKTRACK_FREE, _INTERIOR_RUN),
+    ),
+    Mutant(
+        "oracle-run-charged-one-node", "src/ppsign/oracle.py",
+        "            nodes += stop - idx\n", "            nodes += 1\n",
+        (_BACKTRACK_FREE, _INTERIOR_RUN),
+    ),
+    # each statistic's histogram entry counts with its multiplicity
+    Mutant(
+        "signed-count-drops-multiplicity", "src/ppsign/oracle.py",
+        "sum((-1) ** s * m for s, m in hist.items())", "sum((-1) ** s for s in hist)",
+        ("tests/test_oracle.py::test_signed_count_examples",
+         "tests/test_oracle.py::test_signed_counts_alpha_three_boxes"),
+    ),
+    Mutant(
+        "weighted-count-drops-multiplicity", "src/ppsign/oracle.py",
+        "(w.q ** s * m for s, m in hist.items())", "(w.q ** s for s in hist)",
+        ("tests/test_oracle.py::test_weighted_count_examples",
+         "tests/test_oracle.py::test_plain_counts_match_box_formula_small"),
     ),
     # the terminating series is summed at argument 1
     Mutant(

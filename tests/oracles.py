@@ -7,13 +7,14 @@ code is checked against a second route, not against itself.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
 from operator import itemgetter, le, ne
 from typing import Sequence
 
-from ppsign import core, exactalg, paths
+from ppsign import core, exactalg, oracle, paths
 from ppsign.core import BoxDims, PlanePartition, SymmetryClass
 from ppsign.errors import (
     DimensionError,
@@ -401,6 +402,23 @@ def _apply_rules(cell_rules, heights, c, i, j):
     if value is not _FREE and value < lo:
         return lo, None
     return lo, value
+
+
+def tally_by_leaf(
+    box: BoxDims, cls: SymmetryClass, reps: list[tuple[int, int, bool]], node_budget: int
+) -> Counter[int]:
+    """hist[s] as oracle._tally defines it, with each member's statistic s
+    summed over all its cells at the leaf: table[idx][v] counts the reps
+    (idx, k, bit) at idx that height v holds against their bit."""
+    table = [[0] * (box.c + 1) for _ in range(box.a * box.b)]
+    for index, k, bit in reps:
+        row = table[index]
+        for v in range(box.c + 1):
+            row[v] += (v >= k) != bit
+    return Counter(
+        sum(map(list.__getitem__, table, chain.from_iterable(pp.heights)))
+        for pp in oracle.enumerate_class(box, cls, node_budget)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ from ppsign.core import BoxDims, SymmetryClass, check_box_shape
 from ppsign.errors import InvalidInputError, ResourceLimitError, ShapeError, UnsupportedClassError
 from ppsign.oracle import WeightKind, WeightTag
 
-from oracles import alternating_sign_matrices, enumerate_class_rows, vsasm_count_by_filter
+from oracles import (
+    alternating_sign_matrices,
+    enumerate_class_rows,
+    tally_by_leaf,
+    vsasm_count_by_filter,
+)
 
 SC = SymmetryClass
 
@@ -283,6 +288,48 @@ def test_weighted_count_qcubes_tracks_generating_polynomial():
         Fraction(2) ** pp.size() for pp in oracle.enumerate_class(box, SC.PLAIN)
     )
     assert oracle.weighted_count(box, SC.PLAIN, WeightKind(WeightTag.QCUBES, Fraction(2))) == by_hand
+
+
+def tally_boxes(cls):
+    """Every box with sides 0..5 that fits the class, up to volume 64; up to
+    volume 36 for PLAIN, whose 4^3 box visits 743,287 nodes."""
+    for a, b, c in product(range(6), repeat=3):
+        if a * b * c > (36 if cls is SC.PLAIN else 64):
+            continue
+        box = BoxDims(a, b, c)
+        try:
+            check_box_shape(box, cls)
+        except ShapeError:
+            continue
+        yield box
+
+
+def test_tally_matches_the_per_leaf_sum(monkeypatch):
+    # the walk reads each member's statistic off its path: a root's row
+    # holds its copies' rows, and the constant copies (a self-paired cell
+    # at c/2, as at the centre of an SC box with two odd sides) sit in a
+    # base that only the cube weight sees; every class, every weight it
+    # has, each checked against the sum over the member's cells at the leaf
+    checked = []
+    tally = oracle._tally
+
+    def tally_checked(box, cls, reps, node_budget):
+        hist = tally(box, cls, reps, node_budget)
+        assert hist == tally_by_leaf(box, cls, reps, node_budget), (cls, box, reps)
+        checked.append((cls, box))
+        return hist
+
+    monkeypatch.setattr(oracle, "_tally", tally_checked)
+    weights = [WeightKind(tag, Fraction(2)) for tag in WeightTag]
+    for cls in SC:
+        for box in tally_boxes(cls):
+            if cls.has_complementation:
+                oracle.signed_count(box, cls)
+            for w in weights:
+                if w.tag is not WeightTag.QORBITS or cls.is_symmetric or cls.is_cyclic:
+                    oracle.weighted_count(box, cls, w)
+    assert (SC.SC, BoxDims(3, 5, 2)) in checked and (SC.SC, BoxDims(5, 3, 4)) in checked
+    assert len(checked) == 1_244
 
 
 def test_qorbits_needs_symmetry_group():
