@@ -11,9 +11,10 @@ test that a leaf is a plane partition, so the bounds alone keep
 non-partitions out.  The rules are compiled once per walk into flat-list
 indices, and each is decided at the choice cell that fixes its last
 unknown rather than at the forced cell it constrains (forward checking).
-For every class without cyclic counts (TC, STC, SC, PLAIN, SYMMETRIC) each
-root's bounds are also projected onto the earlier roots, so the walk there
-meets no dead end: every node lies on the path to a member.  In a cyclic
+Each root's bounds are also projected onto the earlier roots, so a class
+without cyclic counts (TC, STC, SC, PLAIN, SYMMETRIC) meets no dead end:
+every node lies on the path to a member; the cyclic counts, which the
+projection does not read, leave the cyclic classes some.  In a cyclic
 class a value that counts over complete rows fix is written at the start
 of the next row, where it is checked and bounds the cells in between.  Every
 cell but a copy runs a tuple of interval evaluations, its own and the
@@ -88,9 +89,9 @@ def _walk(
     evaluations (see _compile) in one loop: each cuts [0, c] to an interval
     [lo, hi] by its bounds and counts and sets h[cell] = lo, and an empty
     one makes the cell a dead end, which backs up with no node; only the
-    cyclic classes meet one, since _compile projects every other class's
-    bounds onto the earlier roots.  The cell keeps its own interval's top
-    in top[idx]; a forced cell's interval holds at most one value.  Every
+    cyclic classes meet one, since _compile projects every bound but a
+    cyclic count onto the earlier roots.  The cell keeps its own interval's
+    top in top[idx]; a forced cell's interval holds at most one value.  Every
     value then goes down one path that counts the node, checks the budget,
     writes the cell's dependents and its share of the statistic, tests the
     leaf and, once the cell is exhausted, backs up straight to back[idx],
@@ -249,18 +250,19 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     m == free_size.  A count past the root stays on its cell, next to the
     cell's own value as a bound on both sides.
 
-    A class without cyclic counts then eliminates its roots from last to
-    first (directional consistency: Dechter, Meiri and Pearl, Artificial
-    Intelligence 49, 1991).  Root r has a value once every bound on it from
-    below, low, is at most every bound from above, high, the domain [0, c]
-    included; require turns each such low <= high into a bound on the later
-    root of the two, 2 * h <= k into h <= k // 2 and 2 * h >= k into h >= the
-    ceiling of k / 2, and keeps the tightest offset per (factor, index).
-    Each added bound follows from the rules over the integers, so no member
-    is cut and no rule is dropped; and since the bounds are added before r's
-    earlier roots are themselves eliminated, the walk finds a nonempty
-    interval at every root.  The cyclic classes keep their plans: their
-    counts, which this step does not read, leave dead ends it cannot remove.
+    Every class then eliminates its roots from last to first (directional
+    consistency: Dechter, Meiri and Pearl, Artificial Intelligence 49,
+    1991).  Root r has a value once every bound on it from below, low, is at
+    most every bound from above, high, the domain [0, c] included; require
+    turns each such low <= high into a bound on the later root of the two,
+    2 * h <= k into h <= k // 2 and 2 * h >= k into h >= the ceiling of
+    k / 2, and keeps the tightest offset per (factor, index).  Each added
+    bound follows from the rules over the integers, so no member is cut and
+    no rule is dropped; and since the bounds are added before r's earlier
+    roots are themselves eliminated, a class without cyclic counts finds a
+    nonempty interval at every root.  The counts, which this step does not
+    read, leave the cyclic classes dead ends it cannot remove, but it
+    removes others (CSSC 6^3: 3,228 nodes with it, 4,662 without).
 
     A cell that is not a root, or a root with a count over a complete row
     (free_size -1), is forced: it has at most one candidate.  A forced cell
@@ -273,17 +275,20 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     A forced cell r whose counts over complete rows end at cell e, with
     e + 1 < r, is also written ahead.  Cell e + 1 starts a row below row 0
     of a cyclic class, which a count over row 0 fixes, so it is forced; its
-    evals go on with (r, lows, highs, counts): r's rules decided once cells
-    0..e + 1 are set.  Entering it, the walk sets h[r] from them, or finds
-    a dead end; a copy cell there is checked, its own value bounding it on
-    both sides, so that it can carry the writes.  By monotonicity
-    every cell x with e < x < r that lies left of r in its row or above it
-    in its column is at least h[r]: that bound joins the write's highs
-    when x's root is set by then, and goes to x's root, which reads h[r],
-    otherwise.  r keeps all its rules.  The writes go to every cyclic
-    class but CYCLIC, where each such value is the conjugate of a row:
-    there they pruned no node (1,999, 28,340 and 653,708 nodes at 4^3, 5^3
-    and 6^3 either way) and only took time.
+    evals go on with (r, lows, highs, counts): r's counts decided once cells
+    0..e + 1 are set and, when r copies a root set by then, its own value
+    on both sides.  Entering it, the walk sets h[r] from them, or finds a
+    dead end; a copy cell there is checked, its own value bounding it on
+    both sides, so that it can carry the writes.  By monotonicity every
+    cell x left of r in its row or above it in its column is at least
+    h[r]: when x's root is not set by then, that bound goes to the root,
+    which reads h[r] (CSSC 6^3 takes 3,339 nodes without it, 3,228 with).
+    r keeps all its rules.  The write carries no more: r's other rules, and
+    h[x] >= h[r] for an x whose root is set, prune no node of CSTC, CSSC or
+    TSSC at 4^3, 6^3 and 8^3 once the projection has run.  The writes go to
+    every cyclic class but CYCLIC, where each such value is the conjugate
+    of a row: there they prune no node (1,999, 28,340 and 653,708 nodes at
+    4^3, 5^3 and 6^3 either way) and cost 3 to 50 % more time.
     """
     a, b, c = box.a, box.b, box.c
     n = a * b
@@ -358,7 +363,7 @@ def _compile(box: BoxDims, cls: SymmetryClass):
                 else:
                     counts[idx].append((start, stop, step, t, free_size, 0, 1))
 
-    for r in range(n - 1, -1, -1) if not cls.is_cyclic else ():
+    for r in range(n - 1, -1, -1):
         # h[r] has a value, and each one extends to a member, once every
         # low <= high on it holds on the earlier roots, [0, c] included (a
         # cell that is not a root has no bounds)
@@ -378,24 +383,17 @@ def _compile(box: BoxDims, cls: SymmetryClass):
             return index <= known or index == n
 
         own = exprs[r]
-        if own[2] == r:
-            low = [(o, f, k) for (f, k), o in lows[r].items() if decided(k)]
-            high = [(o, f, k) for (f, k), o in highs[r].items() if decided(k)]
-        else:
-            low = [own] if decided(own[2]) else []
-            high = low[:]
+        value = (own,) if decided(own[2]) else ()  # r itself, a root, is not decided
         for x in (*range(r - r % b, r), *range(r % b, r, b)):  # left of r, above r
-            if x < known:
-                continue
             o, f, root = exprs[x]  # o + f * h[root] == h[x] >= h[r]
             if decided(root):
-                high.append((o, f, root))
-            elif f > 0:  # h[root] >= h[r] - o
+                continue
+            if f > 0:  # h[root] >= h[r] - o
                 lows[root][(1, r)] = max(lows[root].get((1, r), -o), -o)
             else:  # h[root] <= o - h[r]
                 highs[root][(-1, r)] = min(highs[root].get((-1, r), o), o)
         decided_counts = tuple(count for count in counts[r] if decided(count[1] - count[2]))
-        ahead[known].append((r, tuple(low), tuple(high), decided_counts))
+        ahead[known].append((r, value, value, decided_counts))
 
     plan = []
     for idx, own in enumerate(exprs):

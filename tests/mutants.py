@@ -14,7 +14,7 @@ Each mutant runs on its own temporary copy of src/, tests/ and
 pyproject.toml, one pytest process at a time, on its named tests only.
 The script prints one line per mutant and exits 1 if any survives, 2 if a
 name is unknown or a snippet does not occur exactly once; a test id pytest
-cannot find raises RuntimeError.  All twenty-four take about 40 s on a
+cannot find raises RuntimeError.  All twenty-six take about 34 s on a
 shared 2-vCPU Linux host.
 """
 
@@ -48,6 +48,8 @@ _BACKTRACK_FREE = "tests/test_oracle.py::test_non_cyclic_walk_is_backtrack_free"
 _SIDE_PERMUTATION = "tests/test_oracle.py::test_sc_count_is_invariant_under_side_permutation"
 _INTERIOR_RUN = "tests/test_oracle.py::test_budget_stop_inside_an_interior_run_of_copies"
 _PER_LEAF = "tests/test_oracle.py::test_tally_matches_the_per_leaf_sum"
+_PAST_BENCHMARK = "tests/test_oracle.py::test_cyclic_walk_node_counts_past_benchmark_scale"
+_CYCLIC_STOP = "tests/test_oracle.py::test_budget_stop_inside_the_cyclic_walk"
 
 MUTANTS = (
     # the STC pool builder: s starts at the column sums less the dummy row d
@@ -92,9 +94,24 @@ MUTANTS = (
     # class, sides up to 10, volume up to 300), so rounding it up is no test
     Mutant(
         "oracle-skip-projection", "src/ppsign/oracle.py",
-        "    for r in range(n - 1, -1, -1) if not cls.is_cyclic else ():\n",
+        "    for r in range(n - 1, -1, -1):\n",
         "    for r in ():\n",
         (_BACKTRACK_FREE, _INTERIOR_RUN),
+    ),
+    # every class is projected: the cyclic ones lose dead ends by it
+    Mutant(
+        "oracle-projection-skips-cyclic", "src/ppsign/oracle.py",
+        "    for r in range(n - 1, -1, -1):\n",
+        "    for r in range(n - 1, -1, -1) if not cls.is_cyclic else ():\n",
+        (_PAST_BENCHMARK, f"{_CYCLIC_STOP}[tssc-6]"),
+    ),
+    # writing h[r] ahead puts h[x] >= h[r] on the undecided root of each
+    # cell x left of r or above it
+    Mutant(
+        "oracle-write-drops-monotone-push", "src/ppsign/oracle.py",
+        "            if decided(root):\n                continue\n",
+        "            continue\n",
+        (f"{_CYCLIC_STOP}[cssc-6]",),
     ),
     Mutant(
         "oracle-halved-low-rounded-down", "src/ppsign/oracle.py",
