@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exactalg, paths
-from .errors import DomainError, NeedsMoreSamplesError, UnsupportedClassError
+from .errors import DomainError, UnsupportedClassError
 from .exactalg import Poly, Rational
 from .qseries import binom, integral_value, macmahon_box, shifted_factorial
 
@@ -157,30 +157,26 @@ def _forced_factor(alpha: int, b_parity: int) -> tuple[Poly, Poly | None, int]:
     return factor, linear, expected
 
 
-_STRUCTURE_EXTRA_SAMPLES = 3  # samples past the degree bound, to show it holds
-
-
 def thm3_structure_check(alpha: int) -> list[StructureCase]:
     """Interpolate the odd-side Pfaffian pipeline in b (per parity), divide
     out the forced product, and report divisibility plus quotient degree.
 
-    The samples of both parities come from one sweep of the pipeline over
-    b = 0 up to the largest sample."""
+    Per parity of b the pipeline has degree at most D = alpha(alpha + 1)/2:
+    pool row i has entries of degree j - 1 in i (per parity of i), so the
+    double sum makes entry (j, k) of degree at most j + k in b and the
+    dummy column of degree at most j, and a Pfaffian term, a perfect
+    matching, has degree at most 1 + ... + alpha.  So D + 1 samples per
+    parity, from one sweep of the pipeline, prove divisibility and quotient
+    degree for every b of the parity."""
     if alpha < 1:
         raise DomainError("alpha must be positive")
-    forced = [_forced_factor(alpha, b_parity) for b_parity in (0, 1)]
-    counts = [f.degree + e + 1 + _STRUCTURE_EXTRA_SAMPLES for f, _, e in forced]
-    b_max = max(b_parity + 2 * (count - 1) for b_parity, count in enumerate(counts))
-    values = paths.stc_pfaffians(1, alpha, b_max)
+    count = alpha * (alpha + 1) // 2 + 1
+    values = paths.stc_pfaffians(1, alpha, 2 * count - 1)
     cases = []
-    for b_parity, (factor, linear, expected), count in zip((0, 1), forced, counts):
+    for b_parity in (0, 1):
+        factor, linear, expected = _forced_factor(alpha, b_parity)
         points = [(b, values[b]) for b in range(b_parity, b_parity + 2 * count, 2)]
         poly = exactalg.interpolate(points)
-        if poly.degree >= count - _STRUCTURE_EXTRA_SAMPLES:
-            raise NeedsMoreSamplesError(
-                f"pipeline polynomial degree {poly.degree} not pinned by "
-                f"{count} samples"
-            )
         quotient, rem = poly.divmod(factor)
         divisible = not rem
         linear_divides = None
@@ -317,18 +313,18 @@ def mtilde_recurrence_residual(alpha: int, b: int, i: int, j: int) -> Fraction:
     return lhs - rhs
 
 
-_MTILDE_EXTRA_SAMPLES = 4  # samples past the degree bound
-
-
 def mtilde_combination_poly(alpha: int, t: int, j: int) -> Poly:
     """The row combination used in the half-integer divisibility step,
     interpolated as an exact polynomial in b (sampled at even b).
 
     Row t + 1 - s enters with weight (-1)^(s-1) binom(2s-1, s) over
     (2s-1) 2^(4s-1); each sample is one integer numerator over the lcm L
-    of those denominators."""
+    of those denominators.  Row i sums a polynomial of degree 2i + 2j - 4
+    in k up to k = (alpha + b)/2, so it has degree 2i + 2j - 3 in b, and
+    degree_bound + 1 samples, for the top row i = t + 1, give the
+    combination exactly."""
     degree_bound = 2 * (t + 1) + 2 * j - 3
-    samples = range(0, 2 * (degree_bound + 1 + _MTILDE_EXTRA_SAMPLES), 2)
+    samples = range(0, 2 * (degree_bound + 1), 2)
     dens = [(2 * s - 1) * 2 ** (4 * s - 1) for s in range(1, t + 1)]
     lcm = math.lcm(*dens)
     weights = [lcm] + [

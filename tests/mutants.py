@@ -12,10 +12,12 @@ carry its mutants along).
 
 Each mutant runs on its own temporary copy of src/, tests/ and
 pyproject.toml, one pytest process at a time, on its named tests only.
-The script prints one line per mutant and exits 1 if any survives, 2 if a
-name is unknown or a snippet does not occur exactly once; a test id pytest
-cannot find raises RuntimeError.  All twenty-six take about 34 s on a
-shared 2-vCPU Linux host.
+Pytest starts without the hypothesis plugin, whose load took most of each
+start; @given tests run without it.  The script prints one line per
+mutant and exits 1 if any survives, 2 if a name is unknown or a snippet
+does not occur exactly once; a test id pytest cannot find raises
+RuntimeError.  All thirty-two take about 23 s on a shared 2-vCPU Linux
+host.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ _INTERIOR_RUN = "tests/test_oracle.py::test_budget_stop_inside_an_interior_run_o
 _PER_LEAF = "tests/test_oracle.py::test_tally_matches_the_per_leaf_sum"
 _PAST_BENCHMARK = "tests/test_oracle.py::test_cyclic_walk_node_counts_past_benchmark_scale"
 _CYCLIC_STOP = "tests/test_oracle.py::test_budget_stop_inside_the_cyclic_walk"
+_STRUCTURE_PINS = (
+    "tests/test_formulas.py::test_structure_report_is_pinned",
+    "tests/test_formulas.py::test_structure_report_large_alpha_is_pinned",
+    "tests/test_formulas.py::test_structure_report_past_alpha_ten_is_pinned",
+)
 
 MUTANTS = (
     # the STC pool builder: s starts at the column sums less the dummy row d
@@ -79,6 +86,24 @@ MUTANTS = (
         "sum-of-minors-budget-off-by-one", "src/ppsign/exactalg.py",
         "    if count > budget:\n", "    if count >= budget:\n",
         ("tests/test_exactalg.py::test_sum_of_minors_trivial_and_budget",),
+    ),
+    # the sample counts come from degree bounds read off the constructions,
+    # never from the degree the structure report tests
+    Mutant(
+        "structure-bound-less-one", "src/ppsign/formulas.py",
+        "    count = alpha * (alpha + 1) // 2 + 1\n", "    count = alpha * (alpha + 1) // 2\n",
+        _STRUCTURE_PINS,
+    ),
+    Mutant(
+        "structure-count-from-stated-degree", "src/ppsign/formulas.py",
+        "    count = alpha * (alpha + 1) // 2 + 1\n",
+        "    f, _, e = _forced_factor(alpha, 0)\n    count = f.degree + e + 1\n",
+        ("tests/test_formulas.py::test_structure_sample_count_ignores_the_stated_degree[stated-less-one]",),
+    ),
+    Mutant(
+        "mtilde-bound-less-one", "src/ppsign/formulas.py",
+        "degree_bound = 2 * (t + 1) + 2 * j - 3", "degree_bound = 2 * (t + 1) + 2 * j - 4",
+        ("tests/test_formulas.py::test_mtilde_combination_polys_are_pinned",),
     ),
     Mutant(
         "minor-summation-ignore-budget", "src/ppsign/paths.py",
@@ -187,6 +212,31 @@ MUTANTS = (
             "tests/test_qseries.py::test_pfaff_saalschutz_identity",
         ),
     ),
+    # the transpose complement pairs (i, j) with (a-1-j, a-1-i), not with
+    # the point partner (a-1-i, b-1-j)
+    Mutant(
+        "complement-partners-point-for-transpose", "src/ppsign/core.py",
+        "        return tuple(n - 1 - (x % a) * a - x // a for x in range(n))\n",
+        "        return tuple(range(n - 1, -1, -1))\n",
+        ("tests/test_core.py::test_complement_partners_match_the_cell_maps",
+         "tests/test_oracle.py::test_signed_counts_alpha_three_boxes"),
+    ),
+    # rational rows are scaled by d, each entry by d over its denominator
+    Mutant(
+        "integer-rows-drop-factor", "src/ppsign/exactalg.py",
+        "[x.numerator * (d // x.denominator) for x in row]", "[x.numerator for x in row]",
+        ("tests/test_exactalg.py::test_det_matches_permutation_expansion",
+         "tests/test_exactalg.py::test_pfaffian_matches_fraction_elimination_with_sign",
+         "tests/test_exactalg.py::test_interpolate_matches_divided_differences"),
+    ),
+    # a non-integral top's falling factorial is divided by k!
+    Mutant(
+        "binom-over-k-minus-one-factorial", "src/ppsign/qseries.py",
+        "math.prod(n - t for t in range(k)), math.factorial(k))",
+        "math.prod(n - t for t in range(k)), math.factorial(k - 1))",
+        ("tests/test_qseries.py::test_binom_is_the_falling_factorial_quotient",
+         "tests/test_formulas.py::test_mrr_det"),
+    ),
     # count_vsasm's one bound, 15, from both sides
     Mutant(
         "vsasm-bound-lower", "src/ppsign/oracle.py",
@@ -240,7 +290,7 @@ def run(mutant: Mutant) -> list[str]:
         target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE",
-             "-p", "no:cacheprovider", *mutant.tests],
+             "-p", "no:cacheprovider", "-p", "no:hypothesispytest", *mutant.tests],
             cwd=copy, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
         )

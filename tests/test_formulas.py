@@ -165,9 +165,9 @@ def test_structure_report_is_pinned():
 
 
 def test_structure_report_large_alpha_is_pinned():
-    # quotients of degree up to 25 from 40 to 59 samples per parity; the
-    # digest was recorded from the Newton divided-difference interpolation
-    # in Fraction
+    # quotients of degree up to 25 from 37 to 56 samples per parity; the
+    # digest was recorded from 40 to 59 samples and the Newton
+    # divided-difference interpolation in Fraction
     text = "\n".join(repr(formulas.thm3_structure_check(alpha)) for alpha in (8, 9, 10))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "50a356f810d94a48156fe559fe35e7f8a17c8d321cd7800b5a4531f00a5f1a09"
@@ -191,6 +191,40 @@ def test_mtilde_combination_polys_are_pinned():
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "4dee690acc179efb9b32cd132cae7029a7f9c3ffc262f8a8679b99f9919edae4"
+
+
+def test_degree_bounds_hold_past_the_samples():
+    # the bounds that fix the sample counts of the structure report and the
+    # mtilde combination, checked at more points than either takes
+    for alpha in range(1, 13):
+        bound = alpha * (alpha + 1) // 2
+        values = paths.stc_pfaffians(1, alpha, 2 * bound + 7)
+        for b_parity in (0, 1):
+            points = [(b, values[b]) for b in range(b_parity, 2 * bound + 8, 2)]
+            assert exactalg.interpolate(points).degree == bound
+    for alpha in (2, 4, 6):
+        for i in range(1, 6):
+            for j in range(1, 5):
+                entries = paths.mtilde_entries(alpha, 0, i, j)
+                points = [(b, next(entries)) for b in range(0, 4 * (i + j + 1), 2)]
+                assert exactalg.interpolate(points).degree == 2 * i + 2 * j - 3
+
+
+@pytest.mark.parametrize("shift", (-1, 1), ids=("stated-less-one", "stated-plus-one"))
+def test_structure_sample_count_ignores_the_stated_degree(monkeypatch, shift):
+    reports = {alpha: formulas.thm3_structure_check(alpha) for alpha in range(1, 5)}
+    forced_factor = formulas._forced_factor
+
+    def misstated(alpha, b_parity):
+        factor, linear, expected = forced_factor(alpha, b_parity)
+        return factor, linear, expected + shift
+
+    monkeypatch.setattr(formulas, "_forced_factor", misstated)
+    for alpha, report in reports.items():
+        for case, old in zip(formulas.thm3_structure_check(alpha), report):
+            assert case.pipeline_poly == old.pipeline_poly
+            assert (case.divisible, case.quotient_degree) == (old.divisible, old.quotient_degree)
+            assert not case.ok
 
 
 def test_structure_check_linear_factors_present():
