@@ -120,12 +120,19 @@ def det(m: MatrixLike) -> Rational:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("determinant needs a square matrix")
+    rows, scale = _integer_rows(rows)
+    value = _integer_det(rows)
+    return value if scale == 1 else Fraction(value, scale ** n)
+
+
+def _integer_det(work: list[list[int]]) -> int:
+    """det of a square integer matrix, in place: 1 for the empty matrix,
+    Bareiss below dimension _BLOCK_SPLIT_DIM, the block-triangular form
+    from it."""
+    n = len(work)
     if n == 0:
         return 1
-
-    rows, scale = _integer_rows(rows)
-    value = _bareiss(rows) if n < _BLOCK_SPLIT_DIM else _block_triangular_det(rows)
-    return value if scale == 1 else Fraction(value, scale ** n)
+    return _bareiss(work) if n < _BLOCK_SPLIT_DIM else _block_triangular_det(work)
 
 
 def _bareiss(work: list[list[int]]) -> int:
@@ -347,7 +354,12 @@ def sum_of_minors(
 ) -> Rational:
     """Sum of weight(K)·det(T_K) over the row subsets K of size n, in
     lexicographic order; more than budget subsets raise ResourceLimitError
-    before any minor is taken."""
+    before any entry is checked or any minor taken.
+
+    T is scaled to integers once, by the lcm L of its denominators; each
+    minor of L T goes through det's integer determinant, and the sum is
+    divided once by L^n (det(L T_K) = L^n det(T_K)).  All-int rows give an
+    int sum for int weights, rows with a non-integral entry a Fraction."""
     rows = _as_rows(t)
     p = len(rows)
     if n > p:
@@ -357,9 +369,12 @@ def sum_of_minors(
     count = math.comb(p, n)
     if count > budget:
         raise ResourceLimitError(f"binomial({p},{n}) = {count} exceeds budget {budget}")
-    return sum(
-        det([rows[i] for i in subset]) * weight(subset) for subset in combinations(range(p), n)
+    rows, scale = _integer_rows(rows)
+    total = sum(
+        _integer_det([rows[i][:] for i in subset]) * weight(subset)
+        for subset in combinations(range(p), n)
     )
+    return total if scale == 1 else Fraction(total, scale**n)
 
 
 def _exact_quotient(a: Rational, b: Rational) -> Rational:

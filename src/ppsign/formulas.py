@@ -6,11 +6,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from . import exactalg, paths
-from .errors import DomainError, UnsupportedClassError
-from .exactalg import Poly, Rational
+from .errors import DomainError, UnsupportedClassError, require_int
+from .exactalg import Poly, Rational, _require_rational
 from .qseries import binom, integral_value, macmahon_box, shifted_factorial
 
 
@@ -203,37 +204,53 @@ def thm3_structure_check(alpha: int) -> list[StructureCase]:
 # determinant identity library
 
 
+def _detl_sides(
+    x: Sequence[Rational], a: Sequence[Rational], b: Sequence[Rational]
+) -> tuple[list[list[Fraction]], Fraction]:
+    """The factored-entry matrix of lemma_detl_check and its double product,
+    each entry and the product built as one Fraction from integer pairs.
+
+    Entry (i, j), 0-based, is the product of x_j + v over the parameters
+    a_(i+2), ..., a_n, b_2, ..., b_(i+1), n - 1 of them in every row; with
+    x_j = p/q and v = s/t each factor is (p t + s q)/(q t)."""
+    n = len(x)
+    xs = [(v.numerator, v.denominator) for v in x]
+    aa = [(v.numerator, v.denominator) for v in a]
+    bb = [(v.numerator, v.denominator) for v in b]
+
+    def entry(i: int, p: int, q: int) -> Fraction:
+        params = aa[i:] + bb[:i]
+        return Fraction(
+            math.prod(p * t + s * q for s, t in params),
+            q ** (n - 1) * math.prod(t for _, t in params),
+        )
+
+    matrix = [[entry(i, p, q) for p, q in xs] for i in range(n)]
+    # (x_i - x_j) for i < j, then (b_i - a_j) for 2 <= i <= j <= n
+    pairs = [*combinations(xs, 2)]
+    pairs += [(bb[i], aa[j]) for i in range(n - 1) for j in range(i, n - 1)]
+    product = Fraction(
+        math.prod(p * t - s * q for (p, q), (s, t) in pairs),
+        math.prod(q * t for (_, q), (_, t) in pairs),
+    )
+    return matrix, product
+
+
 def lemma_detl_check(
     x: Sequence[Rational], a: Sequence[Rational], b: Sequence[Rational]
 ) -> bool:
     """Factored-entry determinant against its double-product closed form.
 
     x has n entries; a and b supply the parameters indexed 2..n (so both
-    have n-1 entries, and n = 1 means empty products on both sides).
+    have n-1 entries, and n = 1 means empty products on both sides).  A
+    value that is not an int or a Fraction raises InvalidInputError.
     """
     n = len(x)
     if len(a) != n - 1 or len(b) != n - 1:
         raise DomainError("parameter vectors must have n-1 entries")
-    aa = {i: a[i - 2] for i in range(2, n + 1)}
-    bb = {i: b[i - 2] for i in range(2, n + 1)}
-
-    def entry(i: int, j: int) -> Fraction:
-        value = Fraction(1)
-        for m in range(i + 1, n + 1):
-            value *= x[j - 1] + aa[m]
-        for m in range(2, i + 1):
-            value *= x[j - 1] + bb[m]
-        return value
-
-    lhs = exactalg.det([[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
-    rhs = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rhs *= x[i - 1] - x[j - 1]
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            rhs *= bb[i] - aa[j]
-    return lhs == rhs
+    _require_rational((*x, *a, *b))
+    matrix, product = _detl_sides(x, a, b)
+    return exactalg.det(matrix) == product
 
 
 def _require_nonnegative(name: str, value: int) -> None:
@@ -277,7 +294,10 @@ def lemma_M1(alpha: int, b: int) -> int:
 
 def mrr_det(mu: Rational, n: int) -> tuple[Fraction, Fraction]:
     """The pair (det binom(mu+i+j, 2i-j), its closed form) for any rational
-    mu; the evaluation holds where the two are equal."""
+    mu; the evaluation holds where the two are equal.  A mu that is not an
+    int or a Fraction, or an n that is not an int, raises InvalidInputError."""
+    _require_rational((mu,))
+    require_int((n,), "the order of the mrr determinant")
     if n < 1:
         raise DomainError("n must be positive")
     matrix = [[binom(mu + i + j, 2 * i - j) for j in range(n)] for i in range(n)]

@@ -2,9 +2,12 @@
 formula, and terminating hypergeometric sums.
 
 Everything here is exact: integers stay integers, everything else is a
-`fractions.Fraction`.  No floating point: a parameter that is not an int
-or a Fraction (a float, a string), or an order, a lower index or a box side
-that is not an int, raises InvalidInputError.
+`fractions.Fraction`.  A rational product or sum is carried as an integer
+numerator and denominator, p/q as the pair (p, q), and becomes one
+Fraction, with one gcd, per returned value.  No floating point: a
+parameter that is not an int or a Fraction (a float, a string), or an
+order, a lower index or a box side that is not an int, raises
+InvalidInputError.
 """
 
 from __future__ import annotations
@@ -31,18 +34,28 @@ def integral_value(value: Rational, what: str) -> int:
 
 
 def shifted_factorial(a: Rational | Poly, n: int) -> Rational | Poly:
-    """Rising factorial a(a+1)...(a+n-1); empty product for n = 0.  The
-    base may also be a Poly, giving the product as a polynomial."""
-    if type(a) is not int and not isinstance(a, Poly):
+    """Rising factorial a(a+1)...(a+n-1); the int 1 for n = 0.
+
+    An int base gives an int and a Fraction base p/q the one Fraction
+    p(p+q)...(p+(n-1)q) / q^n.  The base may also be a Poly, giving the
+    product as a polynomial."""
+    poly = isinstance(a, Poly)
+    if type(a) is not int and not poly:
         _require_rational((a,))
     if type(n) is not int:
         require_int((n,), "the order of a shifted factorial")
     if n < 0:
         raise InvalidInputError(f"shifted factorial needs n >= 0, got {n}")
-    result: Rational = 1
-    for t in range(n):
-        result *= a + t
-    return result
+    if poly:
+        result: Poly | int = 1
+        for t in range(n):
+            result *= a + t
+        return result
+    p, q = a.numerator, a.denominator
+    num = math.prod(range(p, p + n * q, q))
+    if isinstance(a, int) or n == 0:
+        return num
+    return Fraction(num, q**n)
 
 
 def binom(n: Rational, k: int) -> Rational:
@@ -50,27 +63,25 @@ def binom(n: Rational, k: int) -> Rational:
     k < 0.
 
     An integral n (an int, or a Fraction with denominator 1) gives an int,
-    which is 0 for 0 <= n < k; any other n gives a Fraction.
+    which is 0 for 0 <= n < k; any other n = p/q gives the one Fraction
+    p(p-q)...(p-(k-1)q) / (q^k k!).
     """
     if type(n) is not int:
         _require_rational((n,))
     if type(k) is not int:
         require_int((k,), "the lower index of a binomial")
-    integral = n.denominator == 1
+    p, q = n.numerator, n.denominator
     if k < 0:
-        return 0 if integral else Fraction(0)
-    if not integral:
-        return Fraction(math.prod(n - t for t in range(k)), math.factorial(k))
+        return 0 if q == 1 else Fraction(0)
+    if q != 1:
+        return Fraction(math.prod(range(p, p - k * q, -q)), q**k * math.factorial(k))
     n = int(n)
     if n >= 0:
         return math.comb(n, k) if k <= n else 0
-    num = 1
-    for t in range(k):
-        num *= n - t
-    q, r = divmod(num, math.factorial(k))
+    value, r = divmod(math.prod(range(n, n - k, -1)), math.factorial(k))
     if r:
         raise InternalConsistencyError(f"{k}! does not divide the falling factorial of {n}")
-    return q
+    return value
 
 
 def qbinom_minus1(n: int, k: int) -> int:
@@ -135,40 +146,40 @@ def _is_nonpositive_int(x: Rational) -> bool:
 
 
 def hyper_terminating(p: HyperParams) -> Fraction:
-    """Exact sum of the terminating series rFs(upper; lower; 1); a lower
-    factor b + k that reaches 0 raises SingularParameterError."""
-    total = Fraction(0)
-    term = Fraction(1)
-    n = p.terminal_index
-    for k in range(n + 1):
-        total += term
-        if k == n:
-            break
+    """Exact sum of the terminating series rFs(upper; lower; 1), as one
+    Fraction; a lower factor b + k that reaches 0 raises
+    SingularParameterError.
+
+    With every parameter a pair (p, q), term k + 1 is term k times
+    prod(p_a + k q_a) prod(q_b) over prod(q_a) prod(p_b + k q_b) (k + 1).
+    Each step's denominator multiplies the one before, so the running total
+    stays an integer over the current term's denominator."""
+    uppers = [(a.numerator, a.denominator) for a in p.upper]
+    lowers = [(b.numerator, b.denominator) for b in p.lower]
+    upper_den = math.prod(q for _, q in uppers)
+    lower_den = math.prod(q for _, q in lowers)
+    num = den = total = 1
+    for k in range(p.terminal_index):
         # extend every Pochhammer factor from length k to k+1
-        for a in p.upper:
-            term *= a + k
-        for idx, b in enumerate(p.lower):
-            factor = b + k
-            if factor == 0:
-                raise SingularParameterError(
-                    f"lower parameter {idx} hits zero factor at term {k + 1}"
-                )
-            term /= factor
-        term /= k + 1
-    return total
+        factors = [pb + k * qb for pb, qb in lowers]
+        if 0 in factors:
+            raise SingularParameterError(
+                f"lower parameter {factors.index(0)} hits zero factor at term {k + 1}"
+            )
+        step = math.prod(factors) * upper_den * (k + 1)
+        num *= math.prod(pa + k * qa for pa, qa in uppers) * lower_den
+        den *= step
+        total = total * step + num
+    return Fraction(total, den)
 
 
 def pfaff_saalschutz_rhs(a: Rational, b: Rational, c: Rational, n: int) -> Fraction:
     """Closed form for the Saalschuetzian 3F2[a, b, -n; c, 1+a+b-c-n; 1]."""
     _require_rational((a, b, c))
+    require_int((n,), "the order of a Saalschuetzian sum")
     if n < 0:
         raise InvalidInputError(f"n must be nonnegative, got {n}")
-    den = Fraction(shifted_factorial(c, n)) * Fraction(
-        shifted_factorial(-a - b + c, n)
-    )
+    den = shifted_factorial(c, n) * shifted_factorial(-a - b + c, n)
     if den == 0:
         raise SingularParameterError("denominator shifted factorial vanishes")
-    num = Fraction(shifted_factorial(-a + c, n)) * Fraction(
-        shifted_factorial(-b + c, n)
-    )
-    return num / den
+    return Fraction(shifted_factorial(-a + c, n) * shifted_factorial(-b + c, n)) / den

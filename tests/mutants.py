@@ -12,12 +12,13 @@ carry its mutants along).
 
 Each mutant runs on its own temporary copy of src/, tests/ and
 pyproject.toml, one pytest process at a time, on its named tests only.
-Pytest starts without the hypothesis plugin, whose load took most of each
-start; @given tests run without it.  The script prints one line per
-mutant and exits 1 if any survives, 2 if a name is unknown or a snippet
-does not occur exactly once; a test id pytest cannot find raises
-RuntimeError.  All thirty-two take about 23 s on a shared 2-vCPU Linux
-host.
+Pytest starts without the hypothesis and benchmark plugins, whose loads
+took most of each start; @given tests run without the one, and no test
+uses the other's fixture.  The script prints one line per mutant and
+exits 1 if any survives, 2 if a name is unknown or a snippet does not
+occur exactly once; a test id pytest cannot find raises RuntimeError.
+All thirty-six take about 27 s on a shared 2-vCPU Linux host (30 s with
+the benchmark plugin loaded).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class Mutant:
 
 _STC_STEP = "tests/test_paths.py::test_stc_skew_matrices_step_to_the_direct_build"
 _RATIONAL = "tests/test_qseries.py::test_non_rational_parameters_raise_invalid_input"
+_INTEGER_PAIRS = "tests/test_qseries.py::test_integer_pair_kernels_match_the_fraction_loops"
 _BACKTRACK_FREE = "tests/test_oracle.py::test_non_cyclic_walk_is_backtrack_free"
 _SIDE_PERMUTATION = "tests/test_oracle.py::test_sc_count_is_invariant_under_side_permutation"
 _INTERIOR_RUN = "tests/test_oracle.py::test_budget_stop_inside_an_interior_run_of_copies"
@@ -75,12 +77,19 @@ MUTANTS = (
         "x + si * gj - gi * sj", "x - si * gj + gi * sj",
         (_STC_STEP,),
     ),
-    # the minor-summation formula: every minor carries its weight, and the
-    # caller's budget bounds the subsets
+    # the minor-summation formula: every minor carries its weight, the
+    # minors of the once-scaled rows are divided by the scale to the n, and
+    # the caller's budget bounds the subsets
     Mutant(
         "sum-of-minors-drop-weight", "src/ppsign/exactalg.py",
-        "det([rows[i] for i in subset]) * weight(subset)", "det([rows[i] for i in subset])",
+        "_integer_det([rows[i][:] for i in subset]) * weight(subset)",
+        "_integer_det([rows[i][:] for i in subset])",
         ("tests/test_paths.py::test_minor_summation_identity",),
+    ),
+    Mutant(
+        "sum-of-minors-drop-scale", "src/ppsign/exactalg.py",
+        "return total if scale == 1 else Fraction(total, scale**n)", "return total",
+        (_INTEGER_PAIRS,),
     ),
     Mutant(
         "sum-of-minors-budget-off-by-one", "src/ppsign/exactalg.py",
@@ -203,14 +212,33 @@ MUTANTS = (
         ("tests/test_oracle.py::test_weighted_count_examples",
          "tests/test_oracle.py::test_plain_counts_match_box_formula_small"),
     ),
-    # the terminating series is summed at argument 1
+    # the terminating series is summed at argument 1, and a lower
+    # parameter's denominator goes to the term's numerator
     Mutant(
         "hyper-argument-minus-one", "src/ppsign/qseries.py",
-        "        term /= k + 1\n", "        term /= -(k + 1)\n",
+        "upper_den * (k + 1)\n", "upper_den * -(k + 1)\n",
         (
             "tests/test_qseries.py::test_hyper_terminating_examples",
             "tests/test_qseries.py::test_pfaff_saalschutz_identity",
         ),
+    ),
+    Mutant(
+        "hyper-drop-lower-denominator", "src/ppsign/qseries.py",
+        "for pa, qa in uppers) * lower_den\n", "for pa, qa in uppers)\n",
+        (_INTEGER_PAIRS, "tests/test_qseries.py::test_pfaff_saalschutz_identity"),
+    ),
+    # a rational base p/q carries q^n below its product, and each detl
+    # entry x_j + v carries x_j's denominator once per factor
+    Mutant(
+        "shifted-factorial-drop-denominator", "src/ppsign/qseries.py",
+        "    return Fraction(num, q**n)\n", "    return Fraction(num)\n",
+        (_INTEGER_PAIRS, "tests/test_qseries.py::test_shifted_factorial_values"),
+    ),
+    Mutant(
+        "detl-entry-drops-x-denominator", "src/ppsign/formulas.py",
+        "            q ** (n - 1) * math.prod(t for _, t in params),\n",
+        "            math.prod(t for _, t in params),\n",
+        (_INTEGER_PAIRS, "tests/test_formulas.py::test_lemma_detl_spec_instances"),
     ),
     # the transpose complement pairs (i, j) with (a-1-j, a-1-i), not with
     # the point partner (a-1-i, b-1-j)
@@ -232,8 +260,7 @@ MUTANTS = (
     # a non-integral top's falling factorial is divided by k!
     Mutant(
         "binom-over-k-minus-one-factorial", "src/ppsign/qseries.py",
-        "math.prod(n - t for t in range(k)), math.factorial(k))",
-        "math.prod(n - t for t in range(k)), math.factorial(k - 1))",
+        "q**k * math.factorial(k))", "q**k * math.factorial(k - 1))",
         ("tests/test_qseries.py::test_binom_is_the_falling_factorial_quotient",
          "tests/test_formulas.py::test_mrr_det"),
     ),
@@ -261,7 +288,7 @@ MUTANTS = (
     ),
     Mutant(
         "saalschutz-rhs-skips-rational-check", "src/ppsign/qseries.py",
-        "    _require_rational((a, b, c))\n    if n < 0:", "    if n < 0:",
+        "    _require_rational((a, b, c))\n", "",
         (f"{_RATIONAL}[pfaff_saalschutz_rhs-str]",),
     ),
     Mutant(
@@ -290,7 +317,8 @@ def run(mutant: Mutant) -> list[str]:
         target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE",
-             "-p", "no:cacheprovider", "-p", "no:hypothesispytest", *mutant.tests],
+             "-p", "no:cacheprovider", "-p", "no:hypothesispytest", "-p", "no:benchmark",
+             *mutant.tests],
             cwd=copy, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
         )

@@ -7,10 +7,11 @@ code is checked against a second route, not against itself.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from operator import itemgetter, le, ne
 from typing import Sequence
 
@@ -20,6 +21,7 @@ from ppsign.errors import (
     DimensionError,
     InvalidInputError,
     NeedsMoreSamplesError,
+    SingularParameterError,
     UnsupportedClassError,
 )
 from ppsign.exactalg import Poly
@@ -705,6 +707,84 @@ def compose(outer: Poly, inner: Poly) -> Poly:
     for c in reversed(outer.coeffs):
         acc = acc * inner + Poly([c])
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the exact rational kernels, one Fraction operation per factor
+
+
+def shifted_factorial_literal(a, n: int):
+    """a(a+1)...(a+n-1), multiplied up one factor at a time from the int 1."""
+    result = 1
+    for t in range(n):
+        result *= a + t
+    return result
+
+
+def binom_literal(n: Fraction, k: int) -> Fraction:
+    """n(n-1)...(n-k+1)/k! for a non-integral n, k >= 0."""
+    return Fraction(math.prod(n - t for t in range(k)), math.factorial(k))
+
+
+def hyper_terminating_literal(p) -> Fraction:
+    """The terminating sum rFs(p.upper; p.lower; 1), the term extended by
+    one Fraction operation per parameter; a lower factor 0 raises
+    SingularParameterError."""
+    total = Fraction(0)
+    term = Fraction(1)
+    n = p.terminal_index
+    for k in range(n + 1):
+        total += term
+        if k == n:
+            break
+        for a in p.upper:
+            term *= a + k
+        for idx, b in enumerate(p.lower):
+            factor = b + k
+            if factor == 0:
+                raise SingularParameterError(
+                    f"lower parameter {idx} hits zero factor at term {k + 1}"
+                )
+            term /= factor
+        term /= k + 1
+    return total
+
+
+def detl_sides_literal(x, a, b) -> tuple[list[list[Fraction]], Fraction]:
+    """The matrix of the detl lemma, entry (i, j) the product of x_j + a_m
+    over m = i+1..n and of x_j + b_m over m = 2..i, and its double product
+    of (x_i - x_j), i < j, and (b_i - a_j), 2 <= i <= j <= n."""
+    n = len(x)
+    aa = {i: a[i - 2] for i in range(2, n + 1)}
+    bb = {i: b[i - 2] for i in range(2, n + 1)}
+
+    def entry(i: int, j: int) -> Fraction:
+        value = Fraction(1)
+        for m in range(i + 1, n + 1):
+            value *= x[j - 1] + aa[m]
+        for m in range(2, i + 1):
+            value *= x[j - 1] + bb[m]
+        return value
+
+    matrix = [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    product = Fraction(1)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            product *= x[i - 1] - x[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            product *= bb[i] - aa[j]
+    return matrix, product
+
+
+def sum_of_minors_per_minor(t, n: int, weight):
+    """Sum of weight(K)·det(T_K) over the n-subsets K of rows, each minor
+    scaled to integers on its own by exactalg.det."""
+    rows = [list(r) for r in t]
+    return sum(
+        exactalg.det([rows[i] for i in subset]) * weight(subset)
+        for subset in combinations(range(len(rows)), n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,26 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppsign import qseries
-from ppsign.errors import InternalConsistencyError, InvalidInputError, SingularParameterError
+from ppsign import exactalg, formulas, qseries
+from ppsign.errors import (
+    InternalConsistencyError,
+    InvalidInputError,
+    ResourceLimitError,
+    SingularParameterError,
+)
 
-from oracles import gaussian_binomial_at
+from oracles import (
+    binom_literal,
+    detl_sides_literal,
+    gaussian_binomial_at,
+    hyper_terminating_literal,
+    shifted_factorial_literal,
+    sum_of_minors_per_minor,
+)
 
 
 def test_shifted_factorial_values():
@@ -86,6 +99,8 @@ def test_macmahon_box_symmetric_in_arguments():
         lambda: qseries.HyperParams((1, -2), ("3",)),
         lambda: qseries.macmahon_box(1.5, 2, 2),
         lambda: qseries.macmahon_box(2, Fraction(3, 2), 2),
+        lambda: formulas.lemma_detl_check([1.5], [], []),
+        lambda: formulas.mrr_det("1", 2),
     ],
     ids=[
         "shifted_factorial-float",
@@ -96,6 +111,8 @@ def test_macmahon_box_symmetric_in_arguments():
         "hyperparams-str-lower",
         "macmahon_box-float",
         "macmahon_box-fraction-side",
+        "lemma_detl_check-float-n1",
+        "mrr_det-str-mu",
     ],
 )
 def test_non_rational_parameters_raise_invalid_input(call):
@@ -110,12 +127,16 @@ def test_non_rational_parameters_raise_invalid_input(call):
         lambda: qseries.qbinom_minus1(4, 1.0),
         lambda: qseries.shifted_factorial(2, 1.5),
         lambda: qseries.binom(2, 1.5),
+        lambda: qseries.pfaff_saalschutz_rhs(1, 2, 3, "2"),
+        lambda: formulas.mrr_det(1, 2.0),
     ],
     ids=[
         "qbinom_minus1-float-n",
         "qbinom_minus1-float-k",
         "shifted_factorial-float-n",
         "binom-float-k",
+        "pfaff_saalschutz_rhs-str-n",
+        "mrr_det-float-n",
     ],
 )
 def test_non_int_orders_raise_invalid_input(call):
@@ -177,3 +198,76 @@ def test_pfaff_saalschutz_identity(a, b, c, n):
     except SingularParameterError:
         return  # parameter hit a pole; not a Saalschuetzian instance
     assert lhs == rhs
+
+
+def test_integer_pair_kernels_match_the_fraction_loops():
+    # the kernels carry integer numerators and denominators and build one
+    # Fraction per value; the references build one per factor.  Value and
+    # type agree, over negative numerators, zero factors, n = 0 and k = 0,
+    # integral Fractions and singular lower parameters
+    rng = random.Random(2028)
+
+    def rational():
+        p = rng.randint(-9, 9)
+        return rng.choice([p, Fraction(p), Fraction(p, rng.randint(1, 6))])
+
+    def same(got, want):
+        assert type(got) is type(want) and got == want, (got, want)
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except SingularParameterError as exc:
+            return "singular", str(exc)
+
+    for _ in range(300):
+        a, n = rational(), rng.randint(0, 7)
+        same(qseries.shifted_factorial(a, n), shifted_factorial_literal(a, n))
+        q = rng.randint(2, 6)
+        top = Fraction(rng.choice([m for m in range(-20, 21) if m % q]), q)
+        k = rng.randint(0, 7)
+        same(qseries.binom(top, k), binom_literal(top, k))
+    assert qseries.shifted_factorial(Fraction(-4, 2), 3) == 0  # a zero factor
+
+    singular = 0
+    for _ in range(300):
+        upper = (-rng.randint(0, 6), *(rational() for _ in range(rng.randint(0, 2))))
+        lower = tuple(rational() for _ in range(rng.randint(0, 2)))
+        p = qseries.HyperParams(upper, lower)
+        got = outcome(qseries.hyper_terminating, p)
+        same(got, outcome(hyper_terminating_literal, p))
+        singular += type(got) is tuple
+    assert singular > 10
+
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        x = [rational() for _ in range(n)]
+        a = [rational() for _ in range(n - 1)]
+        b = [rational() for _ in range(n - 1)]
+        matrix, product = formulas._detl_sides(x, a, b)
+        ref_matrix, ref_product = detl_sides_literal(x, a, b)
+        same(product, ref_product)
+        for row, ref_row in zip(matrix, ref_matrix, strict=True):
+            for entry, ref_entry in zip(row, ref_row, strict=True):
+                same(entry, ref_entry)
+        assert formulas.lemma_detl_check(x, a, b) is (exactalg.det(ref_matrix) == ref_product)
+
+    # Fraction rows, some integral only, some with a non-integral entry,
+    # and mixed int/Fraction rows; int and Fraction weights
+    weights = (lambda s: sum(s) - 3, lambda s: Fraction(sum(s) + 1, 2 + len(s)))
+    for n in (0, 1, 2, 4):
+        for trial in range(12):
+            p = n + rng.randint(0, 3)
+            if trial % 3 == 0:
+                t = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(p)]
+            elif trial % 3 == 1:
+                t = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                     for _ in range(p)]
+            else:
+                t = [[rational() for _ in range(n)] for _ in range(p)]
+            for weight in weights:
+                same(exactalg.sum_of_minors(t, n, weight, 35),
+                     sum_of_minors_per_minor(t, n, weight))
+    # the budget is checked before any entry: a float over budget
+    with pytest.raises(ResourceLimitError):
+        exactalg.sum_of_minors([[0.5], [1], [2]], 1, lambda s: 1, 2)
