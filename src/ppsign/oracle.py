@@ -8,24 +8,27 @@ falling along rows and columns, symmetry constraints act as forced values
 or bounds on not-yet-assigned entries, and every leaf gets the class
 conditions (symmetry, rotation, complementation) once more; those do not
 test that a leaf is a plane partition, so the bounds alone keep
-non-partitions out.  The rules are compiled once per walk into flat-list
-indices, and each is decided at the choice cell that fixes its last
-unknown rather than at the forced cell it constrains (forward checking).
-Each root's bounds are also projected onto the earlier roots, so a class
-without cyclic counts (TC, STC, SC, PLAIN, SYMMETRIC) meets no dead end:
-every node lies on the path to a member; the cyclic counts, which the
-projection does not read, leave the cyclic classes some.  In a cyclic
-class a value that counts over complete rows fix is written at the start
-of the next row, where it is checked and bounds the cells in between.  Every
-cell but a copy runs a tuple of interval evaluations, its own and the
-values it writes ahead, through one evaluator, and every value tried goes
-down one path for the node count, the budget, the leaf and the back-up.
-A copy, a cell whose rules all moved to its root, is written each time its
-root takes a value, and a member's statistic, a sum over a per-cell table,
-is read off the path as it grows rather than over every cell at the leaf.
-tests/oracles.py keeps the unpruned walk that reads the rules off a matrix
-of rows at every node as the reference: the same members in the same
-order, in no more nodes; and the per-leaf sum as the statistic's.
+non-partitions out.  The rules are compiled into flat-list indices, one
+plan entry per cell, once per box and class (the plan is cached), and each
+is decided at the choice cell that fixes its last unknown rather than at
+the forced cell it constrains (forward checking).  Each root's bounds are
+also projected onto the earlier roots, so a class without cyclic counts
+(TC, STC, SC, PLAIN, SYMMETRIC) meets no dead end: every node lies on the
+path to a member; the cyclic counts, which the projection does not read,
+leave the cyclic classes some.  In a cyclic class a value that counts over
+complete rows fix is written at the start of the next row, where it is
+checked and bounds the cells in between.  The walk steps on node cells
+only, the roots and the forced cells with checks: each runs a tuple of
+interval evaluations, its own and the values it writes ahead, through one
+evaluator, and every value tried goes down one path for the node count,
+the budget, the leaf and the back-up.  A copy, a cell whose rules all
+moved to its root, is written each time its root takes a value, and its
+node is charged to the node cell before it.  A member's statistic, a sum
+over a per-cell table, is read off the path as it grows rather than over
+every cell at the leaf.  tests/oracles.py keeps the unpruned walk that
+reads the rules off a matrix of rows at every node as the reference: the
+same members in the same order, in no more nodes; and the per-leaf sum as
+the statistic's.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Iterator
 
 from . import core
@@ -85,114 +89,105 @@ def _walk(
     """Yield every member, lexicographically, as one reused row-major
     height list h with its statistic sum(table[idx][h[idx]] for idx < n).
 
-    A node is one value tried at one cell.  A checked cell runs its
-    evaluations (see _compile) in one loop: each cuts [0, c] to an interval
-    [lo, hi] by its bounds and counts and sets h[cell] = lo, and an empty
-    one makes the cell a dead end, which backs up with no node; only the
-    cyclic classes meet one, since _compile projects every bound but a
+    The walk steps from node cell to node cell, nxt[idx] after idx and
+    nxt[n] first; a node is one value tried at one of them.  A node cell
+    runs its evaluations (see _compile) in one loop: each cuts [0, c] to an
+    interval [lo, hi] by its bounds and counts and sets h[cell] = lo, and an
+    empty one makes the cell a dead end, which backs up with no node; only
+    the cyclic classes meet one, since _compile projects every bound but a
     cyclic count onto the earlier roots.  The cell keeps its own interval's
-    top in top[idx]; a forced cell's interval holds at most one value.  Every
-    value then goes down one path that counts the node, checks the budget,
-    writes the cell's dependents and its share of the statistic, tests the
-    leaf and, once the cell is exhausted, backs up straight to back[idx],
-    the last earlier choice cell, since every forced cell in between has no
-    second value.
+    top in top[idx]; a forced cell's interval holds at most one value.
+    Every value then goes down one path that charges its nodes, checks the
+    budget, writes the cell's copies and its share of the statistic, yields
+    at the last node cell and, once the cell is exhausted, backs up straight
+    to back[idx], the last earlier choice cell, since every forced cell in
+    between has no second value.
 
-    Every cell of a run of copies is offset + factor * h[root] for a root
-    before the run.  A constant copy (factor 0) is written once, before the
-    walk starts; every other one is a dependent of its root, written each
-    time the root takes a value, so a run is one step that only charges one
-    node per cell and checks the budget.  The statistic is read off the
-    path the same way: rows[r][v] is table[r][v] plus the table row of each
-    dependent of r at its value when h[r] = v, and acc[idx] is acc[prev[idx]]
-    + rows[idx][h[idx]], prev[idx] the last node cell before idx (n, whose
-    acc holds the constant copies' share, before the first).  A leaf's
-    statistic is the acc of its last node cell.  Each leaf gets every class
-    condition through core.class_predicate, fetched once before the walk
-    starts.
+    A copy is offset + factor * h[root] for an earlier root.  A constant
+    copy (factor 0) is written once, before the walk starts; every other one
+    is a dependent of its root, written each time the root takes a value.
+    The walk never visits a copy but charges it one node with the node cell
+    before it: charge[idx] is 1 plus the copies up to the next node cell,
+    and charge[n], the copies before the first node cell, is charged before
+    the walk starts, so no member is yielded between a node and its copies'
+    charge.  A plan without node cells, the empty box's included, is one
+    candidate.  The statistic is read off the path the same way: rows[r][v]
+    is table[r][v] plus the table row of each dependent of r at its value
+    when h[r] = v, and acc[idx] is acc[prev[idx]] + rows[idx][h[idx]],
+    prev[idx] the last node cell before idx (n, whose acc holds the constant
+    copies' share, before the first).  A leaf's statistic is the acc of its
+    last node cell.  Each leaf gets every class condition through
+    core.class_predicate, fetched once before the walk starts.
     """
     accept = core.class_predicate(box, cls)  # checks the box shape
     n = box.a * box.b
     c = box.c
     h = [0] * n + [c]  # h[n] is the sentinel c
-    if n == 0:
-        if accept(h):
-            yield h, 0
-        return
     plan = _compile(box, cls)
     if plan is None:
         return  # class empty: a self-paired cell at odd height, or a contradiction
 
     back = []
     prev = []
+    nxt = [n] * (n + 1)  # nxt[n]: the first node cell
+    charge = [1] * n + [0]  # charge[n]: the copies before the first node cell
     deps = [[] for _ in range(n)]  # deps[root]: (cell, offset, factor) of each copy of root
     rows = list(table)  # each fold below builds a new row
     acc = [0] * (n + 1)
     choice = -1
     node = n
-    for idx, step in enumerate(plan):
+    for idx, (_, copy, is_choice) in enumerate(plan):
         back.append(choice)
         prev.append(node)
-        if step is None:
-            continue
-        _, copies, is_choice = step
-        if is_choice:
-            choice = idx
-        if not copies:
+        if copy is None:
+            if is_choice:
+                choice = idx
+            nxt[node] = idx
             node = idx
             continue
-        for cell, (offset, factor, root) in enumerate(copies, idx):
-            values = table[cell]
-            if not factor:
-                h[cell] = offset
-                acc[n] += values[offset]
-                continue
-            deps[root].append((cell, offset, factor))  # h[cell] is h[root] or c - h[root]
-            rows[root] = [s + values[offset + factor * v] for v, s in enumerate(rows[root])]
-    last = n - 1
+        charge[node] += 1
+        offset, factor, root = copy
+        values = table[idx]
+        if not factor:
+            h[idx] = offset
+            acc[n] += values[offset]
+            continue
+        deps[root].append((idx, offset, factor))  # h[idx] is h[root] or c - h[root]
+        rows[root] = [s + values[offset + factor * v] for v, s in enumerate(rows[root])]
+    last = node
+    nodes = charge[n]
+    if nodes > node_budget:
+        raise _budget_error(node_budget, cls, box)
+    if last == n:  # no node cell: h, all copies, is the one candidate
+        if accept(h):
+            yield h, acc[n]
+        return
     top = [0] * n  # top[idx]: the last candidate of cell idx
-    nodes = 0
-    idx = 0
+    idx = nxt[n]
     while True:
-        evals, copies, _ = plan[idx]
-        if copies:  # their roots wrote them, and the rules on the roots keep them in range
-            stop = idx + len(copies)
-            nodes += stop - idx
-            if nodes > node_budget:
-                raise _budget_error(node_budget, cls, box)
-            if stop <= last:
-                idx = stop
-                continue
-            if accept(h):
-                yield h, acc[prev[idx]]
-            idx = back[idx]
-            if idx < 0:
-                return
-            h[idx] += 1
-        else:
-            for cell, lows, highs, counts in evals:
-                lo = 0
-                hi = c
-                for offset, factor, index in lows:
-                    v = offset + factor * h[index]
-                    if v > lo:
-                        lo = v
-                for offset, factor, index in highs:
-                    v = offset + factor * h[index]
-                    if v < hi:
-                        hi = v
-                for start, stop, step, t, free_size, offset, factor in counts:
-                    m = sum(map(t.__le__, h[start:stop:step]))
-                    v = offset + factor * m
-                    if v > lo and (factor > 0 or m != free_size):
-                        lo = v
-                    if v < hi and (factor < 0 or m != free_size):
-                        hi = v
-                if lo > hi:  # a dead end: h[idx] >= 0 > top[idx] backs up with no node
-                    top[idx] = -1
-                    break
-                h[cell] = lo
-                top[cell] = hi  # a later cell r sets its own again on its visit
+        for cell, lows, highs, counts in plan[idx][0]:
+            lo = 0
+            hi = c
+            for offset, factor, index in lows:
+                v = offset + factor * h[index]
+                if v > lo:
+                    lo = v
+            for offset, factor, index in highs:
+                v = offset + factor * h[index]
+                if v < hi:
+                    hi = v
+            for start, stop, step, t, free_size, offset, factor in counts:
+                m = sum(map(t.__le__, h[start:stop:step]))
+                v = offset + factor * m
+                if v > lo and (factor > 0 or m != free_size):
+                    lo = v
+                if v < hi and (factor < 0 or m != free_size):
+                    hi = v
+            if lo > hi:  # a dead end: h[idx] >= 0 > top[idx] backs up with no node
+                top[idx] = -1
+                break
+            h[cell] = lo
+            top[cell] = hi  # a later cell r sets its own again on its visit
         while True:  # cell idx at value h[idx]
             v = h[idx]
             if v > top[idx]:  # exhausted: back up to the last choice
@@ -201,7 +196,7 @@ def _walk(
                     return
                 h[idx] += 1
                 continue
-            nodes += 1
+            nodes += charge[idx]
             if nodes > node_budget:
                 raise _budget_error(node_budget, cls, box)
             for cell, offset, factor in deps[idx]:
@@ -212,7 +207,7 @@ def _walk(
             if accept(h):
                 yield h, acc[idx]
             h[idx] += 1
-        idx += 1
+        idx = nxt[idx]
 
 
 def _budget_error(node_budget: int, cls: SymmetryClass, box: BoxDims) -> ResourceLimitError:
@@ -221,12 +216,14 @@ def _budget_error(node_budget: int, cls: SymmetryClass, box: BoxDims) -> Resourc
     )
 
 
+@lru_cache(maxsize=None)
 def _compile(box: BoxDims, cls: SymmetryClass):
-    """Per cell (evals, copies, choice), row-major; None if the class is
-    empty.  A checked cell has copies () and evals a tuple of evaluations
-    (cell, lows, highs, counts), its own first and then the writes below;
-    choice tells a choice cell from a forced one.  A run of copies has
-    evals () and copies its values.
+    """The walk's plan: a tuple with one entry per cell, row-major, or None
+    if the class is empty; cached per box and class, so that every walk of
+    one box and class shares it.  A node cell's entry is (evals, None,
+    choice): evals a tuple of evaluations (cell, lows, highs, counts), its
+    own first and then the writes below, and choice tells a choice cell from
+    a forced one.  A copy's entry is ((), (offset, factor, root), False).
 
     A cell's rules: it is at most the cell above and the cell to its left
     (the sentinel h[n] = c at an edge); a source forces it to equal its
@@ -267,10 +264,7 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     A cell that is not a root, or a root with a count over a complete row
     (free_size -1), is forced: it has at most one candidate.  A forced cell
     left with no rule is a copy of its own value (offset, factor, root),
-    and is not checked.  A maximal run of consecutive copies is one entry
-    at its first cell; the cells after it in the run get None, since the
-    walk steps over the whole run.  A root is never a copy, so no copy in a
-    run reads another.
+    and is not checked.  A root is never a copy, so no copy reads another.
 
     A forced cell r whose counts over complete rows end at cell e, with
     e + 1 < r, is also written ahead.  Cell e + 1 starts a row below row 0
@@ -405,17 +399,12 @@ def _compile(box: BoxDims, cls: SymmetryClass):
         elif counts[idx] or ahead[idx]:  # checked: its own value bounds it on both sides
             low = high = (own,)
         else:
-            plan.append(((), (own,), False))
+            plan.append(((), own, False))
             continue
         if choice and ahead[idx]:
             raise InternalConsistencyError(f"writes ahead on choice cell {idx}")
-        plan.append((((idx, low, high, tuple(counts[idx])), *ahead[idx]), (), choice))
-    for idx in range(n - 2, -1, -1):  # each run of copies onto its first cell
-        copies = plan[idx][1]
-        if copies and plan[idx + 1][1]:
-            plan[idx] = ((), copies + plan[idx + 1][1], False)
-            plan[idx + 1] = None
-    return plan
+        plan.append((((idx, low, high, tuple(counts[idx])), *ahead[idx]), None, choice))
+    return tuple(plan)
 
 
 def signed_count(
@@ -466,7 +455,7 @@ def _tally(
         row = table[index]
         for v in range(box.c + 1):
             row[v] += (v >= k) != bit
-    return Counter(s for _, s in _walk(box, cls, table, node_budget))
+    return Counter(map(itemgetter(1), _walk(box, cls, table, node_budget)))
 
 
 def weighted_count(

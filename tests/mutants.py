@@ -17,8 +17,7 @@ took most of each start; @given tests run without the one, and no test
 uses the other's fixture.  The script prints one line per mutant and
 exits 1 if any survives, 2 if a name is unknown or a snippet does not
 occur exactly once; a test id pytest cannot find raises RuntimeError.
-All thirty-six take about 27 s on a shared 2-vCPU Linux host (30 s with
-the benchmark plugin loaded).
+All thirty-seven take about 33 s on a shared 2-vCPU Linux host.
 """
 
 from __future__ import annotations
@@ -180,24 +179,30 @@ MUTANTS = (
     ),
     Mutant(
         "oracle-drop-constant-base", "src/ppsign/oracle.py",
-        "                acc[n] += values[offset]\n", "",
+        "            acc[n] += values[offset]\n", "",
         (_PER_LEAF,),
     ),
-    # a run of copies is charged one node per cell before the budget test
+    # each copy is charged one node, to the node cell before it (the copies
+    # before the first node cell at the start), before the budget test
     Mutant(
         "oracle-run-budget-before-charge", "src/ppsign/oracle.py",
-        "            nodes += stop - idx\n"
+        "            nodes += charge[idx]\n"
         "            if nodes > node_budget:\n"
         "                raise _budget_error(node_budget, cls, box)\n",
         "            if nodes > node_budget:\n"
         "                raise _budget_error(node_budget, cls, box)\n"
-        "            nodes += stop - idx\n",
+        "            nodes += charge[idx]\n",
         (_BACKTRACK_FREE, _INTERIOR_RUN),
     ),
     Mutant(
         "oracle-run-charged-one-node", "src/ppsign/oracle.py",
-        "            nodes += stop - idx\n", "            nodes += 1\n",
+        "        charge[node] += 1\n", "",
         (_BACKTRACK_FREE, _INTERIOR_RUN),
+    ),
+    Mutant(
+        "oracle-leading-copies-uncharged", "src/ppsign/oracle.py",
+        "    nodes = charge[n]\n", "    nodes = 0\n",
+        (_BACKTRACK_FREE,),
     ),
     # each statistic's histogram entry counts with its multiplicity
     Mutant(

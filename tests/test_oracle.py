@@ -180,9 +180,17 @@ def members_before_stop(box, cls, budget):
 
 
 def copy_runs(box, cls):
-    """(start, stop) of each run of cells the walk fills in one step."""
-    plan = oracle._compile(box, cls)
-    return [(idx, idx + len(step[1])) for idx, step in enumerate(plan) if step and step[1]]
+    """(start, stop) of each maximal run of copy cells, which the walk
+    charges to the node cell before it."""
+    runs = []
+    for idx, (_, copy, _) in enumerate(oracle._compile(box, cls)):
+        if copy is None:
+            continue
+        if runs and runs[-1][1] == idx:
+            runs[-1] = (runs[-1][0], idx + 1)
+        else:
+            runs.append((idx, idx + 1))
+    return runs
 
 
 TAIL_RUN_PINS = [pin for pin in NODE_PINS if pin[0] in (SC.TC, SC.STC, SC.SC)]
@@ -278,6 +286,16 @@ def test_signed_count_odd_height_uses_fallback_reference():
     result = oracle.signed_count(BoxDims(2, 3, 3), SC.SC)
     assert "lexicographically first" in result.sign_convention
     assert abs(result.value) == 1
+
+
+def test_signed_count_compiles_its_box_and_class_once():
+    # an odd height has no canonical reference, so the walk to the first
+    # member and the tally's walk both run on the one cached plan
+    oracle._compile.cache_clear()
+    result = oracle.signed_count(BoxDims(4, 5, 5), SC.SC)
+    assert "lexicographically first" in result.sign_convention
+    info = oracle._compile.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_weighted_count_examples():
