@@ -10,6 +10,7 @@ explicitly requested with --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -515,7 +516,10 @@ def cmd_identity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: each subcommand's func is bound on
+    the first call, and every parse makes a new namespace."""
     parser = argparse.ArgumentParser(
         prog="ppsign",
         description="Exact signed enumeration of plane partition symmetry classes",

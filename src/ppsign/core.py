@@ -118,15 +118,6 @@ class PlanePartition:
     box: BoxDims
     heights: tuple[tuple[int, ...], ...]
 
-    def cells(self) -> Iterator[Cell]:
-        for i, row in enumerate(self.heights, start=1):
-            for j, h in enumerate(row, start=1):
-                for k in range(1, h + 1):
-                    yield (i, j, k)
-
-    def size(self) -> int:
-        return sum(sum(row) for row in self.heights)
-
 
 # ---------------------------------------------------------------------------
 # symmetry maps
@@ -279,9 +270,6 @@ class Orbit:
 
     half_a: frozenset[Cell]
     half_b: frozenset[Cell]
-
-    def cells(self) -> frozenset[Cell]:
-        return self.half_a | self.half_b
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the one check that an
-integer argument is an int."""
+"""Exception types shared across the package, and the two argument checks:
+an integer argument is an int, and a rational one an int or a Fraction."""
+
+from fractions import Fraction
+from typing import Sequence
 
 
 class PPSignError(Exception):
@@ -47,3 +50,10 @@ def require_int(values: tuple[object, ...], what: str) -> None:
     for x in values:
         if not isinstance(x, int):
             raise InvalidInputError(f"{what} must be an int, got {x!r}")
+
+
+def require_rational(values: Sequence[object]) -> None:
+    """Raise InvalidInputError unless every value is an int or a Fraction."""
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise InvalidInputError(f"expected an int or a Fraction, got {x!r}")

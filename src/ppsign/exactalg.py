@@ -26,6 +26,7 @@ from .errors import (
     InvalidInputError,
     NeedsMoreSamplesError,
     ResourceLimitError,
+    require_rational,
 )
 
 Rational = int | Fraction
@@ -82,13 +83,6 @@ def _is_skew_square(rows: list[list[Rational]]) -> bool:
     return all(rows[i][j] == -rows[j][i] for i in range(n) for j in range(i, n))
 
 
-def _require_rational(values: Sequence[object]) -> None:
-    """Raise InvalidInputError unless every value is an int or a Fraction."""
-    for x in values:
-        if not isinstance(x, (int, Fraction)):
-            raise InvalidInputError(f"expected an int or a Fraction, got {x!r}")
-
-
 def _integer_rows(rows: list[Sequence[Rational]]) -> tuple[list[Sequence[int]], int]:
     """(d * rows, d), with d the lcm of every denominator in rows.
 
@@ -99,7 +93,7 @@ def _integer_rows(rows: list[Sequence[Rational]]) -> tuple[list[Sequence[int]], 
     if all(isinstance(x, int) for row in rows for x in row):
         return rows, 1
     for row in rows:
-        _require_rational(row)
+        require_rational(row)
     d = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
@@ -407,7 +401,7 @@ class Poly:
     def __init__(self, coeffs: Sequence[Rational] = ()):
         cs = list(coeffs)
         if not all(type(c) is int for c in cs):
-            _require_rational(cs)
+            require_rational(cs)
             cs = [_as_coefficient(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -507,7 +501,7 @@ def interpolate(points: Sequence[tuple[Rational, Rational]]) -> Poly:
     if not points:
         raise NeedsMoreSamplesError("need at least one point")
     xs = [x for x, _ in points]
-    _require_rational(xs)
+    require_rational(xs)
     (ys,), d = _integer_rows([[y for _, y in points]])
     n = len(points) - 1
     x0 = xs[0]

@@ -10,8 +10,8 @@ from itertools import combinations
 from typing import Sequence
 
 from . import exactalg, paths
-from .errors import DomainError, UnsupportedClassError, require_int
-from .exactalg import Poly, Rational, _require_rational
+from .errors import DomainError, UnsupportedClassError, require_int, require_rational
+from .exactalg import Poly, Rational
 from .qseries import binom, integral_value, macmahon_box, shifted_factorial
 
 
@@ -172,7 +172,7 @@ def thm3_structure_check(alpha: int) -> list[StructureCase]:
     if alpha < 1:
         raise DomainError("alpha must be positive")
     count = alpha * (alpha + 1) // 2 + 1
-    values = paths.stc_pfaffians(1, alpha, 2 * count - 1)
+    values = paths.stc_pfaffians(1, alpha, 0, 2 * count - 1)
     cases = []
     for b_parity in (0, 1):
         factor, linear, expected = _forced_factor(alpha, b_parity)
@@ -248,7 +248,7 @@ def lemma_detl_check(
     n = len(x)
     if len(a) != n - 1 or len(b) != n - 1:
         raise DomainError("parameter vectors must have n-1 entries")
-    _require_rational((*x, *a, *b))
+    require_rational((*x, *a, *b))
     matrix, product = _detl_sides(x, a, b)
     return exactalg.det(matrix) == product
 
@@ -296,7 +296,7 @@ def mrr_det(mu: Rational, n: int) -> tuple[Fraction, Fraction]:
     """The pair (det binom(mu+i+j, 2i-j), its closed form) for any rational
     mu; the evaluation holds where the two are equal.  A mu that is not an
     int or a Fraction, or an n that is not an int, raises InvalidInputError."""
-    _require_rational((mu,))
+    require_rational((mu,))
     require_int((n,), "the order of the mrr determinant")
     if n < 1:
         raise DomainError("n must be positive")

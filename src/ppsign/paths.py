@@ -104,22 +104,17 @@ def _anchor_pfaffian(offset: int, alpha: int) -> int:
     return anchor
 
 
-def _continuity_normalized_pfaffian(offset: int, alpha: int, b: int) -> int:
-    """Pf of the skew matrix of the STC pool, sign-anchored so the b = 0
-    value is +1."""
+def stc_pfaffians(offset: int, alpha: int, b_first: int, b_last: int) -> list[int]:
+    """The anchored STC Pfaffians for b = b_first..b_last, from one sweep of
+    the pool matrices; offset 0 is the side 2*alpha, offset 1 the side
+    2*alpha + 1.  The box at b = 0 is empty, so its value is 1 and costs no
+    Pfaffian; a negative b raises DimensionError."""
+    if b_first < 0:
+        raise DimensionError(f"b must be nonnegative, got {b_first}")
     anchor = _anchor_pfaffian(offset, alpha)
-    if b == 0:
-        return 1
-    return anchor * exactalg.pfaffian(next(_stc_skew_matrices(offset, alpha, b)))
-
-
-def stc_pfaffians(offset: int, alpha: int, b_max: int) -> list[int]:
-    """The anchored STC Pfaffians for b = 0..b_max, from one sweep of the
-    pool matrices; offset 0 is the side 2*alpha, offset 1 the side
-    2*alpha + 1."""
-    anchor = _anchor_pfaffian(offset, alpha)
-    matrices = itertools.islice(_stc_skew_matrices(offset, alpha, 1), b_max)
-    return [1] + [anchor * exactalg.pfaffian(m) for m in matrices]
+    start = max(b_first, 1)
+    matrices = itertools.islice(_stc_skew_matrices(offset, alpha, start), b_last - start + 1)
+    return [1] * (start - b_first) + [anchor * exactalg.pfaffian(m) for m in matrices]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +153,7 @@ def stcpp_enum(alpha: int, b: int) -> SignedCount:
     The overall sign is anchored by continuity at b = 0, where the box is
     empty and the enumeration is 1.
     """
-    value = _continuity_normalized_pfaffian(0, alpha, b)
+    (value,) = stc_pfaffians(0, alpha, b, b)
     return SignedCount(value, HALF_FULL_REFERENCE)
 
 
@@ -195,7 +190,7 @@ def mtilde_entry(alpha: int, b: int, i: int, j: int) -> int:
 def stcpp_odd_enum(alpha: int, b: int) -> SignedCount:
     """(-1)-enumeration for the (2a+1) x (2a+1) x 2b box; no closed form,
     but the Pfaffian is exact.  Sign anchored at b = 0 as usual."""
-    value = _continuity_normalized_pfaffian(1, alpha, b)
+    (value,) = stc_pfaffians(1, alpha, b, b)
     return SignedCount(value, HALF_FULL_REFERENCE)
 
 

@@ -21,8 +21,9 @@ from .errors import (
     InvalidInputError,
     SingularParameterError,
     require_int,
+    require_rational,
 )
-from .exactalg import Poly, Rational, _require_rational
+from .exactalg import Poly, Rational
 
 
 def integral_value(value: Rational, what: str) -> int:
@@ -41,7 +42,7 @@ def shifted_factorial(a: Rational | Poly, n: int) -> Rational | Poly:
     product as a polynomial."""
     poly = isinstance(a, Poly)
     if type(a) is not int and not poly:
-        _require_rational((a,))
+        require_rational((a,))
     if type(n) is not int:
         require_int((n,), "the order of a shifted factorial")
     if n < 0:
@@ -63,25 +64,21 @@ def binom(n: Rational, k: int) -> Rational:
     k < 0.
 
     An integral n (an int, or a Fraction with denominator 1) gives an int,
-    which is 0 for 0 <= n < k; any other n = p/q gives the one Fraction
-    p(p-q)...(p-(k-1)q) / (q^k k!).
+    which is 0 for 0 <= n < k.  Every n = p/q but a nonnegative integral
+    one goes through the one quotient p(p-q)...(p-(k-1)q) / (q^k k!),
+    checked by integral_value to be an int when q = 1.
     """
     if type(n) is not int:
-        _require_rational((n,))
+        require_rational((n,))
     if type(k) is not int:
         require_int((k,), "the lower index of a binomial")
     p, q = n.numerator, n.denominator
     if k < 0:
         return 0 if q == 1 else Fraction(0)
-    if q != 1:
-        return Fraction(math.prod(range(p, p - k * q, -q)), q**k * math.factorial(k))
-    n = int(n)
-    if n >= 0:
-        return math.comb(n, k) if k <= n else 0
-    value, r = divmod(math.prod(range(n, n - k, -1)), math.factorial(k))
-    if r:
-        raise InternalConsistencyError(f"{k}! does not divide the falling factorial of {n}")
-    return value
+    if q == 1 and p >= 0:
+        return math.comb(p, k)
+    value = Fraction(math.prod(range(p, p - k * q, -q)), q**k * math.factorial(k))
+    return value if q != 1 else integral_value(value, f"binom({p}, {k})")
 
 
 def qbinom_minus1(n: int, k: int) -> int:
@@ -129,7 +126,7 @@ class HyperParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "upper", tuple(self.upper))
         object.__setattr__(self, "lower", tuple(self.lower))
-        _require_rational(self.upper + self.lower)
+        require_rational(self.upper + self.lower)
         if not any(_is_nonpositive_int(a) for a in self.upper):
             raise InvalidInputError(
                 "series does not terminate: no nonpositive-integer upper parameter"
@@ -175,7 +172,7 @@ def hyper_terminating(p: HyperParams) -> Fraction:
 
 def pfaff_saalschutz_rhs(a: Rational, b: Rational, c: Rational, n: int) -> Fraction:
     """Closed form for the Saalschuetzian 3F2[a, b, -n; c, 1+a+b-c-n; 1]."""
-    _require_rational((a, b, c))
+    require_rational((a, b, c))
     require_int((n,), "the order of a Saalschuetzian sum")
     if n < 0:
         raise InvalidInputError(f"n must be nonnegative, got {n}")

@@ -17,7 +17,7 @@ took most of each start; @given tests run without the one, and no test
 uses the other's fixture.  The script prints one line per mutant and
 exits 1 if any survives, 2 if a name is unknown or a snippet does not
 occur exactly once; a test id pytest cannot find raises RuntimeError.
-All thirty-seven take about 33 s on a shared 2-vCPU Linux host.
+All forty-four take about 40 s on a shared 2-vCPU Linux host.
 """
 
 from __future__ import annotations
@@ -76,6 +76,15 @@ MUTANTS = (
         "x + si * gj - gi * sj", "x - si * gj + gi * sj",
         (_STC_STEP,),
     ),
+    # every anchored STC Pfaffian is scaled by the b = 0 Pfaffian, on a
+    # sweep that starts past 0 too (each single-b route is one)
+    Mutant(
+        "stc-anchor-dropped-past-zero", "src/ppsign/paths.py",
+        "    anchor = _anchor_pfaffian(offset, alpha)\n    start",
+        "    anchor = _anchor_pfaffian(offset, alpha) if b_first == 0 else 1\n    start",
+        ("tests/test_paths.py::test_stc_pfaffians_sweep_matches_single_b_routes",
+         "tests/test_paths.py::test_stcpp_enum_matches_product_formula_larger"),
+    ),
     # the minor-summation formula: every minor carries its weight, the
     # minors of the once-scaled rows are divided by the scale to the n, and
     # the caller's budget bounds the subsets
@@ -94,6 +103,27 @@ MUTANTS = (
         "sum-of-minors-budget-off-by-one", "src/ppsign/exactalg.py",
         "    if count > budget:\n", "    if count >= budget:\n",
         ("tests/test_exactalg.py::test_sum_of_minors_trivial_and_budget",),
+    ),
+    # the elimination kernels: each row or index swap negates the value,
+    # and so does an odd column permutation of the block-triangular form
+    Mutant(
+        "bareiss-swap-keeps-sign", "src/ppsign/exactalg.py",
+        "            work[k], work[pivot] = work[pivot], work[k]\n            sign = -sign\n",
+        "            work[k], work[pivot] = work[pivot], work[k]\n",
+        ("tests/test_exactalg.py::test_det_row_swap_negates",
+         "tests/test_exactalg.py::test_det_matches_permutation_expansion"),
+    ),
+    Mutant(
+        "skew-eliminate-swap-keeps-sign", "src/ppsign/exactalg.py",
+        "                row[k + 1], row[swap] = row[swap], row[k + 1]\n            sign = -sign\n",
+        "                row[k + 1], row[swap] = row[swap], row[k + 1]\n",
+        ("tests/test_exactalg.py::test_pfaffian_matches_fraction_elimination_with_sign",),
+    ),
+    Mutant(
+        "block-det-drops-permutation-sign", "src/ppsign/exactalg.py",
+        "    value = sign\n    for block in blocks:\n", "    value = 1\n    for block in blocks:\n",
+        ("tests/test_exactalg.py::test_det_above_crossover_matches_fraction_elimination",
+         "tests/test_paths.py::test_determinant_routes_reach_large_boxes"),
     ),
     # the sample counts come from degree bounds read off the constructions,
     # never from the degree the structure report tests
@@ -262,12 +292,29 @@ MUTANTS = (
          "tests/test_exactalg.py::test_pfaffian_matches_fraction_elimination_with_sign",
          "tests/test_exactalg.py::test_interpolate_matches_divided_differences"),
     ),
-    # a non-integral top's falling factorial is divided by k!
+    # a falling factorial, at any top but a nonnegative integer, is divided by k!
     Mutant(
         "binom-over-k-minus-one-factorial", "src/ppsign/qseries.py",
         "q**k * math.factorial(k))", "q**k * math.factorial(k - 1))",
         ("tests/test_qseries.py::test_binom_is_the_falling_factorial_quotient",
          "tests/test_formulas.py::test_mrr_det"),
+    ),
+    # the CLI: SIGNED routes are compared with their signs, the STC oracle
+    # runs up to 1,000 cells included, and a process builds one parser
+    Mutant(
+        "cli-agree-signed-by-absolute-value", "src/ppsign/cli.py",
+        "norm = abs if compare != SIGNED else (lambda v: v)", "norm = abs",
+        ("tests/test_cli.py::test_verify_tssc_compares_signs",),
+    ),
+    Mutant(
+        "cli-stc-oracle-cap-exclusive", "src/ppsign/cli.py",
+        "box.volume() > spec.oracle_max_volume", "box.volume() >= spec.oracle_max_volume",
+        ("tests/test_cli.py::test_verify_stc_runs_the_oracle_up_to_1000_cells",),
+    ),
+    Mutant(
+        "cli-parser-per-call", "src/ppsign/cli.py",
+        "@functools.cache\ndef build_parser", "def build_parser",
+        ("tests/test_cli.py::test_main_calls_share_one_parser",),
     ),
     # count_vsasm's one bound, 15, from both sides
     Mutant(
@@ -283,17 +330,17 @@ MUTANTS = (
     # qseries refuses non-rational parameters, and checks integrality once
     Mutant(
         "shifted-factorial-accepts-float", "src/ppsign/qseries.py",
-        "        _require_rational((a,))\n", "        pass\n",
+        "        require_rational((a,))\n", "        pass\n",
         (f"{_RATIONAL}[shifted_factorial-float]",),
     ),
     Mutant(
         "binom-skips-rational-check", "src/ppsign/qseries.py",
-        "        _require_rational((n,))\n", "        pass\n",
+        "        require_rational((n,))\n", "        pass\n",
         (f"{_RATIONAL}[binom-float]",),
     ),
     Mutant(
         "saalschutz-rhs-skips-rational-check", "src/ppsign/qseries.py",
-        "    _require_rational((a, b, c))\n", "",
+        "    require_rational((a, b, c))\n", "",
         (f"{_RATIONAL}[pfaff_saalschutz_rhs-str]",),
     ),
     Mutant(

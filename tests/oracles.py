@@ -71,7 +71,23 @@ def gaussian_binomial_at(n: int, k: int, q: int) -> int:
 
 
 def cells_of(pp: PlanePartition) -> frozenset[Cell]:
-    return frozenset(pp.cells())
+    """The cells (i, j, k), 1-based, under each column of pp."""
+    return frozenset(
+        (i, j, k)
+        for i, row in enumerate(pp.heights, start=1)
+        for j, h in enumerate(row, start=1)
+        for k in range(1, h + 1)
+    )
+
+
+def pp_size(pp: PlanePartition) -> int:
+    """The number of cells of pp."""
+    return sum(map(sum, pp.heights))
+
+
+def orbit_cells(orbit: core.Orbit) -> frozenset[Cell]:
+    """Both halves of a combined-group orbit."""
+    return orbit.half_a | orbit.half_b
 
 
 def contains(pp: PlanePartition, cell: Cell) -> bool:

@@ -1,9 +1,11 @@
+import argparse
 import json
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from ppsign import cli, core, exactalg, paths
+from ppsign import cli, core, exactalg, formulas, oracle, paths
 from ppsign.errors import InternalConsistencyError, ResourceLimitError
 
 
@@ -470,3 +472,39 @@ def test_identity_fail_then_budget_stop_exits_one(capsys, monkeypatch):
         assert code == 1
         assert [r["result"] for r in json.loads(out)] == ["FAIL", "SKIPPED"]
         assert err.startswith("budget:")
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    used = []
+    real = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        used.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "enumerate", "--class", "tc", "--a", "2", "--b", "1")
+        assert code == 0
+    assert len(used) == 2 and used[0] is used[1]
+
+
+def test_verify_stc_runs_the_oracle_up_to_1000_cells(capsys, monkeypatch):
+    # a stub records the boxes the oracle is asked for, and answers with
+    # the closed form; 10 x 10 x 10 is exactly 1,000 cells
+    asked = []
+
+    def stub(box, cls, node_budget):
+        asked.append(box)
+        return core.SignedCount(formulas.thm2_stcpp(box.a // 2, box.c // 2), "stub")
+
+    monkeypatch.setattr(oracle, "signed_count", stub)
+    code, out, _ = run_cli(capsys, "verify", "--class", "stc", "--max-alpha", "6", "--max-b", "5")
+    assert code == 0
+    rows = {(r["params"]["alpha"], r["params"]["b"]): r["values"] for r in json.loads(out)}
+    assert rows[6, 4].keys() == {"lgv", "formula"}  # 12 x 12 x 8: 1,152 cells
+    assert rows[5, 5].keys() == {"lgv", "formula", "oracle"}
+    assert asked == [
+        core.BoxDims(2 * alpha, 2 * alpha, 2 * b)
+        for alpha, b in product(range(1, 7), range(6)) if 8 * alpha * alpha * b <= 1000
+    ]

@@ -198,7 +198,7 @@ def test_degree_bounds_hold_past_the_samples():
     # mtilde combination, checked at more points than either takes
     for alpha in range(1, 13):
         bound = alpha * (alpha + 1) // 2
-        values = paths.stc_pfaffians(1, alpha, 2 * bound + 7)
+        values = paths.stc_pfaffians(1, alpha, 0, 2 * bound + 7)
         for b_parity in (0, 1):
             points = [(b, values[b]) for b in range(b_parity, 2 * bound + 8, 2)]
             assert exactalg.interpolate(points).degree == bound

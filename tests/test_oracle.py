@@ -11,6 +11,7 @@ from ppsign.oracle import WeightKind, WeightTag
 from oracles import (
     alternating_sign_matrices,
     enumerate_class_rows,
+    pp_size,
     tally_by_leaf,
     vsasm_count_by_filter,
 )
@@ -168,6 +169,48 @@ def test_non_cyclic_walk_is_backtrack_free():
             assert visits_exactly(box, cls, prefixes), (cls, box)
 
 
+def test_walk_offers_only_members_but_in_cyclic(monkeypatch):
+    # every leaf the walk offers the class predicate is a member, except in
+    # CYCLIC, where the counts of a row's conjugate leave non-members (with
+    # the writes ahead turned on there, the counts stay the same)
+    offered = []
+    real = oracle.core.class_predicate
+
+    def counting(box, cls):
+        accept = real(box, cls)
+
+        def predicate(h):
+            offered.append(accept(h))
+            return offered[-1]
+
+        return predicate
+
+    monkeypatch.setattr(oracle.core, "class_predicate", counting)
+    cubes = [BoxDims(n, n, n) for n in (2, 4, 6)]
+    grid = {
+        "tc": (SC.TC, [BoxDims(a, a, 2 * b) for a in range(1, 6) for b in range(4)]),
+        "stc": (SC.STC, [BoxDims(a, a, 2 * b) for a in range(1, 6) for b in range(4)]),
+        "sc": (SC.SC, [BoxDims(*s) for s in product(range(1, 5), range(1, 5), range(5))]),
+        "cstc": (SC.CSTC, cubes),
+        "cssc": (SC.CSSC, cubes),
+        "tssc": (SC.TSSC, cubes),
+        "totally-symmetric": (SC.TOTALLY_SYMMETRIC, [BoxDims(n, n, n) for n in range(1, 6)]),
+        **{f"cyclic-{n}": (SC.CYCLIC, [BoxDims(n, n, n)]) for n in (3, 4, 5)},
+    }
+    found = {}
+    for name, (cls, boxes) in grid.items():
+        offered.clear()
+        for box in boxes:
+            for _ in oracle.enumerate_class(box, cls):
+                pass
+        found[name] = (len(offered), offered.count(False))  # leaves, rejected
+    assert found == {
+        "tc": (5849, 0), "stc": (347, 0), "sc": (1254, 0),
+        "cstc": (14, 0), "cssc": (54, 0), "tssc": (10, 0), "totally-symmetric": (441, 0),
+        "cyclic-3": (30, 10), "cyclic-4": (180, 48), "cyclic-5": (1762, 310),
+    }
+
+
 def members_before_stop(box, cls, budget):
     """The heights the walk yields on a node budget, and whether it stopped."""
     members = []
@@ -314,7 +357,7 @@ def test_weighted_count_qcubes_tracks_generating_polynomial():
     # q = 2 separates sizes, so this pins the whole size distribution
     box = BoxDims(2, 2, 2)
     by_hand = sum(
-        Fraction(2) ** pp.size() for pp in oracle.enumerate_class(box, SC.PLAIN)
+        Fraction(2) ** pp_size(pp) for pp in oracle.enumerate_class(box, SC.PLAIN)
     )
     assert oracle.weighted_count(box, SC.PLAIN, WeightKind(WeightTag.QCUBES, Fraction(2))) == by_hand
 

@@ -418,14 +418,24 @@ def test_stc_skew_matrices_step_to_the_direct_build():
 
 
 def test_stc_pfaffians_sweep_matches_single_b_routes():
+    # a sweep from 0, a sweep from a later b and the one-element sweeps of
+    # the single-b routes give the same anchored values (the anchor is -1
+    # at alpha = 1, 2, 5)
     for alpha in range(6):
-        assert paths.stc_pfaffians(0, alpha, 8) == [
+        assert paths.stc_pfaffians(0, alpha, 0, 8) == [
             paths.stcpp_enum(alpha, b).value for b in range(9)
         ]
-        assert paths.stc_pfaffians(1, alpha, 8) == [
+        assert paths.stc_pfaffians(1, alpha, 0, 8) == [
             paths.stcpp_odd_enum(alpha, b).value for b in range(9)
         ]
-    assert paths.stc_pfaffians(1, 3, 0) == [1]
+        for offset in (0, 1):
+            assert paths.stc_pfaffians(offset, alpha, 3, 8) == (
+                paths.stc_pfaffians(offset, alpha, 0, 8)[3:]
+            )
+    assert paths.stc_pfaffians(1, 3, 0, 0) == [1]
+    for route in (paths.stcpp_enum, paths.stcpp_odd_enum):
+        with pytest.raises(DimensionError):
+            route(1, -1)
 
 
 def test_scpp_enum_matches_literal_sc_product():
