@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
-from operator import add, ge, itemgetter
+from operator import ge
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -196,56 +196,49 @@ def satisfies(pp: PlanePartition, cls: SymmetryClass) -> bool:
 
 
 @lru_cache(maxsize=None)
+def equal_pairs(box: BoxDims, cls: SymmetryClass) -> tuple[tuple[int, int, int, int], ...]:
+    """The class conditions that tie two cells, row-major: each (x, y, sign,
+    const) says that a member has h[x] == const + sign * h[y], with y <= x.
+    Raises ShapeError if the box cannot hold the class.
+
+    At each x the mirror pair of transposition, (x, y, 1, 0) for x = (i, j),
+    i > j, and y = (j, i), comes before the complement pair (x, y, -1, c),
+    y the partner of x in complement_partners (x itself for a self-paired
+    cell): the order fixes each cell's first source in the oracle's plan.
+    """
+    partners = complement_partners(box, cls)  # checks the box shape
+    b = box.b
+    pairs = []
+    for x in range(box.a * b):
+        i, j = divmod(x, b)
+        if cls.is_symmetric and i > j:
+            pairs.append((x, j * b + i, 1, 0))
+        if partners and partners[x] <= x:
+            pairs.append((x, partners[x], -1, box.c))
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=None)
 def class_predicate(box: BoxDims, cls: SymmetryClass) -> Callable[[Sequence[int]], bool]:
     """The class conditions compiled for one box and class: a function that
     tells whether a row-major height list h meets them.  Entries past the
     first a*b are ignored, and h is not checked to be a plane partition.
 
-    Raises ShapeError if the box cannot hold the class.  The conditions are
-    phrased on the height matrix and read h through index tuples:
-    transposition invariance pairs h[i][j] with h[j][i], complementation
-    pairs each cell once with its partner in complement_partners, the two
-    to sum to c (a cell that is its own partner, to c / 2), and the cyclic
-    condition makes column j the conjugate of row j,
-    h[i][j] == #{k : h[j][k] > i}.
+    Raises ShapeError if the box cannot hold the class.  Every pair of
+    equal_pairs must hold, and the cyclic condition makes column j the
+    conjugate of row j, h[i][j] == #{k : h[j][k] > i}.
     """
-    partners = complement_partners(box, cls)  # checks the box shape
-    a, b, c = box.a, box.b, box.c
-    n = a * b
-    equal = same = None
-    if cls.is_symmetric:
-        upper = [(i * b + j, j * b + i) for i in range(a) for j in range(i + 1, b)]
-        if upper:
-            equal, same = (_getter(side) for side in zip(*upper))
-    # each row of a cubical box, and the column it must be the conjugate of
-    cyclic = tuple(
-        (_getter(range(j * a, (j + 1) * a)), _getter(range(j, n, a)))
-        for j in range(a if cls.is_cyclic else 0)
-    )
-    pairs = [(k, p) for k, p in enumerate(partners) if k <= p]
-    first = second = None
-    if pairs:
-        first, second = (_getter(side) for side in zip(*pairs))
-    full = (c,) * len(pairs)
+    pairs = equal_pairs(box, cls)  # checks the box shape
+    a, n = box.a, box.a * box.b
+    rows = range(a if cls.is_cyclic else 0)  # row j of a cube, whose conjugate is column j
 
     def predicate(h: Sequence[int]) -> bool:
-        if equal is not None and equal(h) != same(h):
-            return False
-        for row, column in cyclic:
-            if column(h) != _conjugate(row(h)):
+        for x, y, sign, const in pairs:
+            if h[x] != const + sign * h[y]:
                 return False
-        return first is None or tuple(map(add, first(h), second(h))) == full
+        return all(tuple(h[j:n:a]) == _conjugate(tuple(h[j * a:j * a + a])) for j in rows)
 
     return predicate
-
-
-def _getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """h -> the tuple of h at indices; itemgetter gives a tuple only from
-    two indices on."""
-    indices = tuple(indices)
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda h: tuple(h[i] for i in indices)
 
 
 @lru_cache(maxsize=1 << 14)  # every row of a cube up to 8^3: C(16, 8) = 12,870
@@ -316,8 +309,7 @@ def orbit_decomposition(box: BoxDims, cls: SymmetryClass) -> OrbitDecomposition:
     """
     if not cls.has_complementation:
         raise UnsupportedClassError(f"{cls.value} has no complementation component")
-    check_box_shape(box, cls)
-    sym, anti = _maps_for(box, cls)
+    sym, anti = _maps_for(box, cls)  # checks the box shape
     orbits: list[Orbit] = []
     assigned: set[Cell] = set()
     for cell in box.cells():

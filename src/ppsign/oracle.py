@@ -3,32 +3,33 @@ signed/weighted summation.
 
 This is the ground truth the determinant/Pfaffian pipelines and the
 closed-form evaluators are tested against: backtracking over height-matrix
-entries in row-major order.  Bounds keep every entry in [0, c] and
-falling along rows and columns, symmetry constraints act as forced values
-or bounds on not-yet-assigned entries, and every leaf gets the class
-conditions (symmetry, rotation, complementation) once more; those do not
-test that a leaf is a plane partition, so the bounds alone keep
-non-partitions out.  The rules are compiled into flat-list indices, one
-plan entry per cell, once per box and class (the plan is cached), and each
-is decided at the choice cell that fixes its last unknown rather than at
-the forced cell it constrains (forward checking).  Each root's bounds are
-also projected onto the earlier roots, so a class without cyclic counts
-(TC, STC, SC, PLAIN, SYMMETRIC) meets no dead end: every node lies on the
-path to a member; the cyclic counts, which the projection does not read,
-leave the cyclic classes some.  In a cyclic class a value that counts over
-complete rows fix is written at the start of the next row, where it is
-checked and bounds the cells in between.  The walk steps on node cells
-only, the roots and the forced cells with checks: each runs a tuple of
-interval evaluations, its own and the values it writes ahead, through one
-evaluator, and every value tried goes down one path for the node count,
-the budget, the leaf and the back-up.  A copy, a cell whose rules all
-moved to its root, is written each time its root takes a value, and its
-node is charged to the node cell before it.  A member's statistic, a sum
-over a per-cell table, is read off the path as it grows rather than over
-every cell at the leaf.  tests/oracles.py keeps the unpruned walk that
-reads the rules off a matrix of rows at every node as the reference: the
-same members in the same order, in no more nodes; and the per-leaf sum as
-the statistic's.
+entries in row-major order.  Bounds keep every entry in [0, c] and falling
+along rows and columns, and the pairs of core.equal_pairs (transposition,
+complementation) act as forced values or bounds on not-yet-assigned
+entries.  The compiled plan of a class without cyclic counts proves every
+pair, so its leaves are members; a leaf of a cyclic class gets the class
+conditions once more, which do not test that it is a plane partition: the
+bounds alone keep non-partitions out.  The rules are compiled into
+flat-list indices, one plan entry per cell, once per box and class (the
+plan is cached), and each is decided at the choice cell that fixes its
+last unknown rather than at the forced cell it constrains (forward
+checking).  Each root's bounds are also projected onto the earlier roots,
+so a class without cyclic counts (TC, STC, SC, PLAIN, SYMMETRIC) meets no
+dead end: every node lies on the path to a member; the cyclic counts,
+which the projection does not read, leave the cyclic classes some.  In a
+cyclic class a value that counts over complete rows fix is written at the
+start of the next row, where it is checked and bounds the cells in
+between.  The walk steps on node cells only, the roots and the forced
+cells with checks: each runs a tuple of interval evaluations, its own and
+the values it writes ahead, through one evaluator, and every value tried
+goes down one path for the node count, the budget, the leaf and the
+back-up.  A copy, a cell whose rules all moved to its root, is written
+each time its root takes a value, and its node is charged to the node cell
+before it.  A member's statistic, a sum over a per-cell table, is read off
+the path as it grows rather than over every cell at the leaf.
+tests/oracles.py keeps the unpruned walk that reads the rules off a matrix
+of rows at every node as the reference: the same members in the same
+order, in no more nodes; and the per-leaf sum as the statistic's.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from operator import itemgetter
 from typing import Iterator
 
@@ -116,16 +117,17 @@ def _walk(
     when h[r] = v, and acc[idx] is acc[prev[idx]] + rows[idx][h[idx]],
     prev[idx] the last node cell before idx (n, whose acc holds the constant
     copies' share, before the first).  A leaf's statistic is the acc of its
-    last node cell.  Each leaf gets every class condition through
-    core.class_predicate, fetched once before the walk starts.
+    last node cell.  A leaf of a cyclic class gets every class condition
+    through core.class_predicate, fetched once before the walk starts; the
+    plan of any other class proves them, so each of its leaves is yielded.
     """
-    accept = core.class_predicate(box, cls)  # checks the box shape
+    plan = _compile(box, cls)  # checks the box shape
+    if plan is None:
+        return  # class empty: a self-paired cell at odd height, or a contradiction
+    accept = core.class_predicate(box, cls) if cls.is_cyclic else None
     n = box.a * box.b
     c = box.c
     h = [0] * n + [c]  # h[n] is the sentinel c
-    plan = _compile(box, cls)
-    if plan is None:
-        return  # class empty: a self-paired cell at odd height, or a contradiction
 
     back = []
     prev = []
@@ -159,7 +161,7 @@ def _walk(
     if nodes > node_budget:
         raise _budget_error(node_budget, cls, box)
     if last == n:  # no node cell: h, all copies, is the one candidate
-        if accept(h):
+        if accept is None or accept(h):
             yield h, acc[n]
         return
     top = [0] * n  # top[idx]: the last candidate of cell idx
@@ -204,7 +206,7 @@ def _walk(
             acc[idx] = acc[prev[idx]] + rows[idx][v]
             if idx < last:
                 break
-            if accept(h):
+            if accept is None or accept(h):
                 yield h, acc[idx]
             h[idx] += 1
         idx = nxt[idx]
@@ -226,13 +228,14 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     a forced one.  A copy's entry is ((), (offset, factor, root), False).
 
     A cell's rules: it is at most the cell above and the cell to its left
-    (the sentinel h[n] = c at an edge); a source forces it to equal its
-    earlier mirror cell under symmetry, or c minus its earlier partner
-    in core.complement_partners (c // 2 if it is its own partner); and the
-    cyclic rule h[i][j] >= r+1 iff h[r][i] >= j+1 gives a count (start,
-    stop, step, t, free_size) over the assigned partner cells
-    h[start:stop:step]: m of them are >= t, and the cell equals m unless
-    m == free_size, which only bounds it below by m.
+    (the sentinel h[n] = c at an edge); a source, a pair (x, y, sign, const)
+    of core.equal_pairs at x = the cell, forces it to equal const + sign *
+    h[y], its earlier mirror cell or c minus its earlier partner (c // 2 if
+    it is its own partner; at odd c the class is empty); and the cyclic
+    rule h[i][j] >= r+1 iff h[r][i] >= j+1 gives a count (start, stop,
+    step, t, free_size) over the assigned partner cells h[start:stop:step]:
+    m of them are >= t, and the cell equals m unless m == free_size, which
+    only bounds it below by m.
 
     Through its first source every cell is offset + factor * h[root], for a
     root that is an unsourced cell or the sentinel (factor 0).  Each rule
@@ -260,6 +263,12 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     nonempty interval at every root.  The counts, which this step does not
     read, leave the cyclic classes dead ends it cannot remove, but it
     removes others (CSSC 6^3: 3,228 nodes with it, 4,662 without).
+
+    A class without cyclic counts then proves each pair, so that its leaves
+    need no check: with o, f, root = exprs[y], exprs[x] must be (const +
+    sign * o, sign * f, root), or InternalConsistencyError is raised before
+    any walk starts.  TSSC holds some pairs by bounds only (30 at sides up
+    to 8), so the cyclic classes keep the leaf check.
 
     A cell that is not a root, or a root with a count over a complete row
     (free_size -1), is forced: it has at most one candidate.  A forced cell
@@ -290,10 +299,10 @@ def _compile(box: BoxDims, cls: SymmetryClass):
     lows = [{} for _ in range(n)]  # lows[root][(factor, index)]: the largest offset
     highs = [{} for _ in range(n)]  # highs[root][(factor, index)]: the smallest offset
     counts = [[] for _ in range(n)]
-    partners = core.complement_partners(box, cls)
-
-    def expr(index):
-        return exprs[index] if index < n else (c, 0, n)
+    pairs = core.equal_pairs(box, cls)  # checks the box shape
+    sources = {x: list(group) for x, group in groupby(pairs, itemgetter(0))}
+    if any(x == y and const % 2 for x, y, _, const in pairs):
+        return None  # h = const - h at an odd const
 
     def require(low, high):
         """Bound the later root so that low <= high; False if that never holds."""
@@ -319,16 +328,9 @@ def _compile(box: BoxDims, cls: SymmetryClass):
         for j in range(b):
             idx = i * b + j
             values = []  # what each source makes the cell, through the source's root
-            if cls.is_symmetric and i > j:
-                values.append(expr(j * b + i))
-            partner = partners[idx] if partners else None
-            if partner == idx:
-                if c % 2 != 0:
-                    return None
-                values.append((c // 2, 0, n))
-            elif partner is not None and partner < idx:
-                o, f, root = expr(partner)
-                values.append((c - o, -f, root))
+            for _, y, sign, const in sources.get(idx, ()):
+                o, f, root = exprs[y] if y < idx else (const // 2, 0, n)  # own partner: const / 2
+                values.append((const + sign * o, sign * f, root))
             cell_counts = []
             if cls.is_cyclic and i > 0:
                 if j < i:
@@ -343,9 +345,9 @@ def _compile(box: BoxDims, cls: SymmetryClass):
                         cell_counts.append((i * b, i * b + i, 1, i + 1, i))
             own = values[0] if values else (0, 1, idx)
             exprs.append(own)
-            up = (i - 1) * b + j if i else n
-            left = i * b + j - 1 if j else n
-            rules = [(own, expr(up)), (own, expr(left))]
+            up = exprs[idx - b] if i else (c, 0, n)  # the sentinel h[n] = c at an edge
+            left = exprs[idx - 1] if j else (c, 0, n)
+            rules = [(own, up), (own, left)]
             rules += [pair for value in values[1:] for pair in ((own, value), (value, own))]
             if not all(require(low, high) for low, high in rules):
                 return None
@@ -365,6 +367,11 @@ def _compile(box: BoxDims, cls: SymmetryClass):
         high = [(o, f, k) for (f, k), o in highs[r].items()] + [(c, 0, n)]
         if not all(require(x, y) for x in low for y in high):
             return None
+
+    for x, y, sign, const in () if cls.is_cyclic else pairs:
+        o, f, root = exprs[y]
+        if exprs[x] != (const + sign * o, sign * f, root):
+            raise InternalConsistencyError(f"cells {x} and {y} of {cls.value} in {box} not tied")
 
     ahead = [[] for _ in range(n)]  # ahead[e + 1]: the writes made on entering cell e + 1
     for r in range(n) if cls.is_symmetric or cls.has_complementation else ():

@@ -17,7 +17,7 @@ took most of each start; @given tests run without the one, and no test
 uses the other's fixture.  The script prints one line per mutant and
 exits 1 if any survives, 2 if a name is unknown or a snippet does not
 occur exactly once; a test id pytest cannot find raises RuntimeError.
-All forty-four take about 40 s on a shared 2-vCPU Linux host.
+All forty-eight take about 50 s on a shared 2-vCPU Linux host.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ _INTERIOR_RUN = "tests/test_oracle.py::test_budget_stop_inside_an_interior_run_o
 _PER_LEAF = "tests/test_oracle.py::test_tally_matches_the_per_leaf_sum"
 _PAST_BENCHMARK = "tests/test_oracle.py::test_cyclic_walk_node_counts_past_benchmark_scale"
 _CYCLIC_STOP = "tests/test_oracle.py::test_budget_stop_inside_the_cyclic_walk"
+_PLANS_TIE = "tests/test_oracle.py::test_non_cyclic_plans_tie_every_pair"
 _STRUCTURE_PINS = (
     "tests/test_formulas.py::test_structure_report_is_pinned",
     "tests/test_formulas.py::test_structure_report_large_alpha_is_pinned",
@@ -194,8 +195,8 @@ MUTANTS = (
         "oracle-root-skips-first-dependent", "src/ppsign/oracle.py",
         "            for cell, offset, factor in deps[idx]:\n",
         "            for cell, offset, factor in deps[idx][1:]:\n",
-        (_BACKTRACK_FREE, "tests/test_oracle.py::test_enumerate_examples",
-         "tests/test_oracle.py::test_signed_count_examples"),
+        ("tests/test_oracle.py::test_enumerate_examples",
+         "tests/test_oracle.py::test_signed_counts_alpha_three_boxes"),
     ),
     Mutant(
         "oracle-acc-from-the-cell-before", "src/ppsign/oracle.py",
@@ -233,6 +234,27 @@ MUTANTS = (
         "oracle-leading-copies-uncharged", "src/ppsign/oracle.py",
         "    nodes = charge[n]\n", "    nodes = 0\n",
         (_BACKTRACK_FREE,),
+    ),
+    # the compiler reads each cell's sources from core.equal_pairs, and the
+    # plan of a class without cyclic counts must prove every pair; only the
+    # cyclic classes' leaves get the class predicate
+    Mutant(
+        "oracle-sources-from-the-second", "src/ppsign/oracle.py",
+        "sources.get(idx, ())", "sources.get(idx, ())[1:]",
+        tuple(f"{_PLANS_TIE}[{cls}]" for cls in ("symmetric", "sc", "tc", "stc")),
+    ),
+    Mutant(
+        "oracle-source-drops-sign", "src/ppsign/oracle.py",
+        "values.append((const + sign * o, sign * f, root))", "values.append((const + o, f, root))",
+        tuple(f"{_PLANS_TIE}[{cls}]" for cls in ("sc", "tc", "stc")),
+    ),
+    Mutant(
+        "oracle-walk-skips-cyclic-predicate", "src/ppsign/oracle.py",
+        "core.class_predicate(box, cls) if cls.is_cyclic else None",
+        "core.class_predicate(box, cls)"
+        " if cls.is_cyclic and cls is not SymmetryClass.CYCLIC else None",
+        ("tests/test_oracle.py::test_cyclic_count_matches_product_formula",
+         "tests/test_oracle.py::test_walk_offers_only_members_but_in_cyclic"),
     ),
     # each statistic's histogram entry counts with its multiplicity
     Mutant(
@@ -283,6 +305,15 @@ MUTANTS = (
         "        return tuple(range(n - 1, -1, -1))\n",
         ("tests/test_core.py::test_complement_partners_match_the_cell_maps",
          "tests/test_oracle.py::test_signed_counts_alpha_three_boxes"),
+    ),
+    # the one list of pair conditions: the plan proof reads it too, so a
+    # pair dropped from it is left to the membership tests (the last pair
+    # of a class with complementation is a complement pair)
+    Mutant(
+        "equal-pairs-drop-last", "src/ppsign/core.py",
+        "    return tuple(pairs)\n", "    return tuple(pairs[:-1])\n",
+        ("tests/test_acceptance.py::test_criterion_1_tcpp",
+         "tests/test_core.py::test_sign_equals_region_parity_tc"),
     ),
     # rational rows are scaled by d, each entry by d over its denominator
     Mutant(
