@@ -9,7 +9,10 @@ denominator.  Determinants use
 fraction-free Bareiss elimination (from dimension 12, once per diagonal
 block of the block-triangular form); Pfaffians use its skew analogue,
 whose exact divisions rest on Knuth's overlapping-Pfaffian identity, with
-an independent perfect-matching cross-check at small sizes.
+an independent perfect-matching cross-check at small sizes.  The
+minor-summation left side takes no elimination: it walks the row subsets
+once as bitmasks, by Laplace expansion for the minors and the same
+perfect-matching expansion for the Pfaffians.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionError,
@@ -33,7 +35,8 @@ Rational = int | Fraction
 MatrixLike = Sequence[Sequence[Rational]]
 
 # dimension up to which pfaffian() re-derives its result from the
-# definition sum over perfect matchings
+# definition sum over perfect matchings, and the widest minor that
+# sum_of_minors, whose Pfaffians are definition sums, takes
 _PFAFFIAN_CHECK_DIM = 8
 
 # dimension from which det() eliminates each diagonal block of the
@@ -251,23 +254,41 @@ def _perfect_matching(masks: list[int]) -> list[int] | None:
 
 
 def _pfaffian_matching_sum(rows: list[list[Rational]]) -> Rational:
-    """Definition sum over perfect matchings; O(n!!) but unimpeachable."""
+    """Definition sum over perfect matchings, by _pfaffian_expansion at the
+    full index set."""
+    return _pfaffian_expansion(rows, (1 << len(rows)) - 1, {0: 1})
 
-    def rec(indices: tuple[int, ...]) -> Rational:
-        if not indices:
-            return 1
-        first, rest = indices[0], indices[1:]
-        total: Rational = 0
-        for t, j in enumerate(rest):
-            entry = rows[first][j]
-            if entry == 0:
-                continue
-            sub = rest[:t] + rest[t + 1 :]
-            term = entry * rec(sub)
-            total += term if t % 2 == 0 else -term
-        return total
 
-    return rec(tuple(range(len(rows))))
+def _pfaffian_expansion(
+    a: Sequence[Sequence[Rational]], mask: int, memo: dict[int, Rational]
+) -> Rational:
+    """Pf of the principal submatrix of the skew matrix a on the indices in
+    the bitmask mask, by expansion along its first row:
+
+        Pf(A_K) = sum_t (-1)^t A[k][j_t] Pf(A_{K - {k, j_t}}),
+
+    with k the lowest index of K and j_0 < j_1 < ... the others.  Only the
+    entries above the diagonal are read.  memo holds the Pfaffians found so
+    far by mask, {0: 1} at the start, and is shared by every call on the
+    same matrix; each index set of even size is expanded at most once."""
+    value = memo.get(mask)
+    if value is None:
+        low = mask & -mask
+        row = a[low.bit_length() - 1]
+        rest = mask ^ low
+        value = 0
+        negate = False
+        bits = rest
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            entry = row[bit.bit_length() - 1]
+            if entry:
+                term = entry * _pfaffian_expansion(a, rest ^ bit, memo)
+                value = value - term if negate else value + term
+            negate = not negate
+        memo[mask] = value
+    return value
 
 
 def _skew_eliminate(a: list[list[int]]) -> int:
@@ -340,35 +361,64 @@ def pfaffian(m: MatrixLike) -> Rational:
     return value if scale == 1 else Fraction(value, scale ** (n // 2))
 
 
-def sum_of_minors(
-    t: MatrixLike,
-    n: int,
-    weight: Callable[[tuple[int, ...]], Rational],
-    budget: int,
-) -> Rational:
-    """Sum of weight(K)·det(T_K) over the row subsets K of size n, in
-    lexicographic order; more than budget subsets raise ResourceLimitError
-    before any entry is checked or any minor taken.
+def sum_of_minors(t: MatrixLike, n: int, a: MatrixLike, budget: int) -> Rational:
+    """The left side of the minor-summation formula for T p x n and A
+    p x p skew: the sum of Pf(A_K)·det(T_K) over the n-element row subsets
+    K.  n must be even and at most _PFAFFIAN_CHECK_DIM, as the Pfaffians
+    are definition sums; more than budget subsets raise ResourceLimitError.
+    Both are checked before any entry is read.
 
-    T is scaled to integers once, by the lcm L of its denominators; each
-    minor of L T goes through det's integer determinant, and the sum is
-    divided once by L^n (det(L T_K) = L^n det(T_K)).  All-int rows give an
-    int sum for int weights, rows with a non-integral entry a Fraction."""
-    rows = _as_rows(t)
+    T and A are scaled to integers once, by the lcms L_T and L_A of their
+    denominators.  The subsets are bitmasks, and no minor is eliminated:
+    layer m holds det(T_{S,[0,m)}) for every m-row mask S with a nonzero
+    minor, each found from layer m - 1 by Laplace expansion along column
+    m - 1.  Pf(A_K) comes from one memoised first-row expansion
+    (_pfaffian_expansion) shared by every K.  The work is
+    sum_{m<=n} C(p, m) masks, each pushed to at most p - m rows, and as
+    many memoised Pfaffians: at most 9·C(p, n) when p >= 16, at most 2^15
+    masks below.  The sum over the last layer is divided once by
+    L_T^n·L_A^(n/2); all-int T and A give an int, a non-integral entry
+    (of T, or of A when n >= 2) a Fraction."""
+    rows, a_rows = _as_rows(t), _as_rows(a)
     p = len(rows)
+    if n % 2 or n > _PFAFFIAN_CHECK_DIM:
+        raise DimensionError(
+            f"minor width must be even and at most {_PFAFFIAN_CHECK_DIM}, got {n}"
+        )
     if n > p:
         raise DimensionError(f"subset size {n} exceeds row count {p}")
     if rows and len(rows[0]) != n:
         raise DimensionError("minor width must match column count")
+    if len(a_rows) != p or any(len(r) != p for r in a_rows):
+        raise DimensionError(f"weight matrix must be {p}x{p}")
     count = math.comb(p, n)
     if count > budget:
         raise ResourceLimitError(f"binomial({p},{n}) = {count} exceeds budget {budget}")
-    rows, scale = _integer_rows(rows)
-    total = sum(
-        _integer_det([rows[i][:] for i in subset]) * weight(subset)
-        for subset in combinations(range(p), n)
-    )
-    return total if scale == 1 else Fraction(total, scale**n)
+    rows, t_scale = _integer_rows(rows)
+    a_rows, a_scale = _integer_rows(a_rows)
+    if not _is_skew_square(a_rows):
+        raise InvalidInputError("weight matrix is not skew-symmetric")
+
+    # Laplace along column m: row i enters mask S with sign (-1) to the
+    # number of rows of S below it
+    layer: dict[int, int] = {0: 1}
+    for m in range(n):
+        column = [(1 << i, i, row[m]) for i, row in enumerate(rows) if row[m]]
+        grown: dict[int, int] = {}
+        for mask, minor in layer.items():
+            for bit, i, x in column:
+                if not mask & bit:
+                    term = x * minor
+                    if (mask >> i).bit_count() & 1:
+                        term = -term
+                    grown[mask | bit] = grown.get(mask | bit, 0) + term
+        for mask in [mask for mask, minor in grown.items() if not minor]:
+            del grown[mask]
+        layer = grown
+    memo: dict[int, Rational] = {0: 1}
+    total = sum(minor * _pfaffian_expansion(a_rows, mask, memo) for mask, minor in layer.items())
+    scale = t_scale**n * a_scale ** (n // 2)
+    return total if scale == 1 else Fraction(total, scale)
 
 
 def _exact_quotient(a: Rational, b: Rational) -> Rational:

@@ -311,24 +311,20 @@ def minor_summation(
     subset_budget: int,
 ) -> tuple[int | Fraction, int | Fraction]:
     """Both sides of the minor-summation formula, for T p x n (n even,
-    n <= p) and A skew: sum over n-subsets K of Pf(A_K)·det(T_K), and
-    Pf(tT A T).  More than subset_budget subsets raise ResourceLimitError."""
+    n <= p) and A p x p skew: sum over n-subsets K of Pf(A_K)·det(T_K), and
+    Pf(tT A T).  The left side is exactalg.sum_of_minors, which takes no
+    elimination; the right side goes through exactalg.pfaffian.  More than
+    subset_budget subsets raise ResourceLimitError."""
     rows, n = exactalg.dims(t)
     if n % 2:
         raise DimensionError("minor summation needs an even number of columns")
     if n > rows:
         raise DimensionError("need at least as many rows as columns")
+    if exactalg.dims(a) != (rows, rows):
+        raise DimensionError(f"weight matrix must be {rows}x{rows}")
     if not exactalg.is_skew(a):
         raise DimensionError("weight matrix must be skew-symmetric")
 
-    a_rows = [list(r) for r in a]
-
-    def pf_weight(subset: tuple[int, ...]) -> int | Fraction:
-        sub = [[a_rows[i][j] for j in subset] for i in subset]
-        return exactalg.pfaffian(sub)
-
-    lhs = exactalg.sum_of_minors(t, n, pf_weight, subset_budget)
-    rhs = exactalg.pfaffian(
-        exactalg.matmul(exactalg.matmul(exactalg.transpose(t), a_rows), t)
-    )
+    lhs = exactalg.sum_of_minors(t, n, a, subset_budget)
+    rhs = exactalg.pfaffian(exactalg.matmul(exactalg.matmul(exactalg.transpose(t), a), t))
     return lhs, rhs

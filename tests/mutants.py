@@ -17,7 +17,7 @@ took most of each start; @given tests run without the one, and no test
 uses the other's fixture.  The script prints one line per mutant and
 exits 1 if any survives, 2 if a name is unknown or a snippet does not
 occur exactly once; a test id pytest cannot find raises RuntimeError.
-All forty-eight take about 50 s on a shared 2-vCPU Linux host.
+All fifty take about 50 s on a shared 2-vCPU Linux host.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ _PER_LEAF = "tests/test_oracle.py::test_tally_matches_the_per_leaf_sum"
 _PAST_BENCHMARK = "tests/test_oracle.py::test_cyclic_walk_node_counts_past_benchmark_scale"
 _CYCLIC_STOP = "tests/test_oracle.py::test_budget_stop_inside_the_cyclic_walk"
 _PLANS_TIE = "tests/test_oracle.py::test_non_cyclic_plans_tie_every_pair"
+_PER_MINOR = "tests/test_exactalg.py::test_sum_of_minors_matches_per_minor_oracle"
 _STRUCTURE_PINS = (
     "tests/test_formulas.py::test_structure_report_is_pinned",
     "tests/test_formulas.py::test_structure_report_large_alpha_is_pinned",
@@ -86,24 +87,38 @@ MUTANTS = (
         ("tests/test_paths.py::test_stc_pfaffians_sweep_matches_single_b_routes",
          "tests/test_paths.py::test_stcpp_enum_matches_product_formula_larger"),
     ),
-    # the minor-summation formula: every minor carries its weight, the
-    # minors of the once-scaled rows are divided by the scale to the n, and
-    # the caller's budget bounds the subsets
+    # the minor-summation formula: every minor carries its weight, the sum
+    # of the once-scaled T and A is divided by their scales, and the
+    # caller's budget bounds the subsets; the minors grow by Laplace
+    # expansion, the weights by first-row Pfaffian expansion, each with its
+    # sign
     Mutant(
         "sum-of-minors-drop-weight", "src/ppsign/exactalg.py",
-        "_integer_det([rows[i][:] for i in subset]) * weight(subset)",
-        "_integer_det([rows[i][:] for i in subset])",
+        "sum(minor * _pfaffian_expansion(a_rows, mask, memo) for mask, minor in layer.items())",
+        "sum(layer.values())",
         ("tests/test_paths.py::test_minor_summation_identity",),
     ),
     Mutant(
         "sum-of-minors-drop-scale", "src/ppsign/exactalg.py",
-        "return total if scale == 1 else Fraction(total, scale**n)", "return total",
+        "return total if scale == 1 else Fraction(total, scale)", "return total",
         (_INTEGER_PAIRS,),
     ),
     Mutant(
         "sum-of-minors-budget-off-by-one", "src/ppsign/exactalg.py",
         "    if count > budget:\n", "    if count >= budget:\n",
         ("tests/test_exactalg.py::test_sum_of_minors_trivial_and_budget",),
+    ),
+    Mutant(
+        "sum-of-minors-drop-laplace-sign", "src/ppsign/exactalg.py",
+        "                    if (mask >> i).bit_count() & 1:\n"
+        "                        term = -term\n",
+        "",
+        (_PER_MINOR,),
+    ),
+    Mutant(
+        "pfaffian-expansion-drop-alternating-sign", "src/ppsign/exactalg.py",
+        "value = value - term if negate else value + term", "value = value + term",
+        (_PER_MINOR, "tests/test_exactalg.py::test_pfaffian_examples"),
     ),
     # the elimination kernels: each row or index swap negates the value,
     # and so does an odd column permutation of the block-triangular form
@@ -146,8 +161,8 @@ MUTANTS = (
     ),
     Mutant(
         "minor-summation-ignore-budget", "src/ppsign/paths.py",
-        "exactalg.sum_of_minors(t, n, pf_weight, subset_budget)",
-        "exactalg.sum_of_minors(t, n, pf_weight, 10**6)",
+        "exactalg.sum_of_minors(t, n, a, subset_budget)",
+        "exactalg.sum_of_minors(t, n, a, 10**6)",
         ("tests/test_cli.py::test_subset_budget_reaches_minor_summation",),
     ),
     # the oracle's compiler projects each root's bounds onto the earlier
@@ -196,7 +211,9 @@ MUTANTS = (
         "            for cell, offset, factor in deps[idx]:\n",
         "            for cell, offset, factor in deps[idx][1:]:\n",
         ("tests/test_oracle.py::test_enumerate_examples",
-         "tests/test_oracle.py::test_signed_counts_alpha_three_boxes"),
+         "tests/test_oracle.py::test_signed_counts_alpha_three_boxes",
+         "tests/test_oracle.py::test_walk_node_counts_at_benchmark_scale"
+         "[SymmetryClass.CSTC-box4-3653]"),
     ),
     Mutant(
         "oracle-acc-from-the-cell-before", "src/ppsign/oracle.py",

@@ -803,6 +803,22 @@ def sum_of_minors_per_minor(t, n: int, weight):
     )
 
 
+def skew_matrix(n: int, entry):
+    """An n x n skew matrix with a fresh entry() above the diagonal."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = entry()
+            m[j][i] = -m[i][j]
+    return m
+
+
+def principal_pfaffians(a):
+    """The weight K -> Pf(A_K) of the minor-summation formula, each
+    principal submatrix through exactalg.pfaffian."""
+    return lambda subset: exactalg.pfaffian([[a[i][j] for j in subset] for i in subset])
+
+
 # ---------------------------------------------------------------------------
 # alternating sign matrices, built one by one
 

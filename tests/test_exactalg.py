@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,9 @@ from oracles import (
     det_permutation_expansion,
     interpolate_divided_differences,
     pfaffian_fraction_elimination,
+    principal_pfaffians,
+    skew_matrix,
+    sum_of_minors_per_minor,
 )
 
 
@@ -392,9 +396,62 @@ def test_flipped_skew_elimination_trips_the_matching_check(monkeypatch):
 
 
 def test_sum_of_minors_trivial_and_budget():
-    assert exactalg.sum_of_minors([[1, 0], [0, 1]], 2, lambda subset: 1, 1) == 1
+    assert exactalg.sum_of_minors([[1, 0], [0, 1]], 2, [[0, 1], [-1, 0]], 1) == 1
     with pytest.raises(ResourceLimitError):
-        exactalg.sum_of_minors([[1] * 3 for _ in range(40)], 3, lambda subset: 1, 10)
+        exactalg.sum_of_minors([[1] * 4 for _ in range(40)], 4, rand_skew(random.Random(5), 40), 10)
+
+
+def test_sum_of_minors_matches_per_minor_oracle():
+    # value and type of Pf(A_K)·det(T_K) summed one subset at a time, with
+    # all-int, all-Fraction and mixed T and A, every even width up to 8
+    rng = random.Random(34)
+    kinds = (
+        lambda: rng.randint(-4, 4),
+        lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+        lambda: rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 4))]),
+    )
+    for n in range(0, 9, 2):
+        for p in sorted({n, n + 1, 9}):
+            for t_entry in kinds:
+                for a_entry in kinds:
+                    t = [[t_entry() for _ in range(n)] for _ in range(p)]
+                    a = skew_matrix(p, a_entry)
+                    got = exactalg.sum_of_minors(t, n, a, math.comb(p, n))
+                    want = sum_of_minors_per_minor(t, n, principal_pfaffians(a))
+                    assert type(got) is type(want) and got == want, (n, p, got, want)
+
+
+def test_sum_of_minors_rejects_bad_widths_and_shapes():
+    rng = random.Random(35)
+    for n in (1, 3, 5, 10):
+        t = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(12)]
+        with pytest.raises(DimensionError):
+            exactalg.sum_of_minors(t, n, rand_skew(rng, 12), 10**6)
+    t = [[1, 2], [3, 4], [5, 6], [7, 8]]
+    for size in (2, 6):
+        with pytest.raises(DimensionError):
+            exactalg.sum_of_minors(t, 2, rand_skew(rng, size), 10**6)
+    with pytest.raises(InvalidInputError):
+        exactalg.sum_of_minors(t, 2, [[1] * 4] * 4, 10**6)
+    # the budget comes before any entry of T or A is read
+    with pytest.raises(ResourceLimitError):
+        exactalg.sum_of_minors([[0.5] * 2] * 5, 2, [[0.5] * 5] * 5, 9)
+
+
+def test_sum_of_minors_takes_no_elimination(monkeypatch):
+    # the left side of the minor-summation formula is an independent route:
+    # it reaches neither elimination kernel
+    rng = random.Random(36)
+    t = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(7)]
+    a = rand_skew(rng, 7)
+    want = sum_of_minors_per_minor(t, 4, principal_pfaffians(a))
+
+    def fail(*_):
+        raise AssertionError("elimination kernel called")
+
+    monkeypatch.setattr(exactalg, "_bareiss", fail)
+    monkeypatch.setattr(exactalg, "_skew_eliminate", fail)
+    assert want != 0 and exactalg.sum_of_minors(t, 4, a, 35) == want
 
 
 def test_interpolate_examples():
@@ -455,7 +512,8 @@ def test_interpolate_rejects_bad_abscissae():
         lambda: exactalg.det([[0.5]]),
         lambda: exactalg.det([[1, 2], [3, 0.5]]),
         lambda: exactalg.det([[1] * 12 for _ in range(11)] + [[1.0] * 12]),
-        lambda: exactalg.sum_of_minors([[0.5], [1]], 1, lambda subset: 1, 2),
+        lambda: exactalg.sum_of_minors([[0.5, 1], [1, 1]], 2, [[0, 1], [-1, 0]], 1),
+        lambda: exactalg.sum_of_minors([[1, 1], [1, 1]], 2, [[0, 0.5], [-0.5, 0]], 1),
         lambda: exactalg.pfaffian([[0, 0.5], [-0.5, 0]]),
         lambda: exactalg.pfaffian([[0, "1"], ["-1", 0]]),
         lambda: Poly([0.1]),
@@ -470,6 +528,7 @@ def test_interpolate_rejects_bad_abscissae():
         "det-float-entry",
         "det-float-block-split",
         "sum_of_minors-float",
+        "sum_of_minors-float-weight",
         "pfaffian-float",
         "pfaffian-str",
         "poly-float",

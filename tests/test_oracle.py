@@ -129,9 +129,23 @@ BENCHMARK_PINS = [
     (SC.CSSC, (6, 6, 6), 144_567, 3_228),
     (SC.TSSC, (6, 6, 6), 47_828, 573),
 ]
+# written out, so that tests/mutants.py can name each case
+BENCHMARK_PIN_IDS = [
+    "SymmetryClass.TC-box0-95410",
+    "SymmetryClass.STC-box1-21482",
+    "SymmetryClass.SC-box2-102630",
+    "SymmetryClass.SC-box3-78505",
+    "SymmetryClass.CSTC-box4-3653",
+    "SymmetryClass.CSSC-box5-144567",
+    "SymmetryClass.TSSC-box6-47828",
+]
 
 
-@pytest.mark.parametrize("cls, box, reference, nodes", BENCHMARK_PINS, ids=pin_ids(BENCHMARK_PINS))
+def test_benchmark_pin_ids_are_the_generated_ones():
+    assert BENCHMARK_PIN_IDS == pin_ids(BENCHMARK_PINS)
+
+
+@pytest.mark.parametrize("cls, box, reference, nodes", BENCHMARK_PINS, ids=BENCHMARK_PIN_IDS)
 def test_walk_node_counts_at_benchmark_scale(cls, box, reference, nodes):
     # the boxes the benchmark times; the reference checks each forced cell
     # when it reaches it, the walk on the choice cell that fixes it

@@ -369,6 +369,18 @@ def test_minor_summation_rejects_odd_width():
         paths.minor_summation([[1], [2], [3]], sgn_matrix(3), SUBSET_BUDGET)
 
 
+def test_minor_summation_rejects_a_weight_matrix_of_the_wrong_size(monkeypatch):
+    # A is checked to be p x p before any row subset is read
+    def fail(*_):
+        raise AssertionError("left side reached")
+
+    monkeypatch.setattr(exactalg, "sum_of_minors", fail)
+    t = [[1, 2], [3, 4], [5, 6], [7, 8]]
+    for size in (2, 6):
+        with pytest.raises(DimensionError):
+            paths.minor_summation(t, sgn_matrix(size), SUBSET_BUDGET)
+
+
 def test_tsscpp_pool_entries_are_weighted_path_counts():
     for alpha in (3, 5):
         pool = paths.tsscpp_pool(alpha)

@@ -18,7 +18,9 @@ from oracles import (
     detl_sides_literal,
     gaussian_binomial_at,
     hyper_terminating_literal,
+    principal_pfaffians,
     shifted_factorial_literal,
+    skew_matrix,
     sum_of_minors_per_minor,
 )
 
@@ -253,9 +255,10 @@ def test_integer_pair_kernels_match_the_fraction_loops():
         assert formulas.lemma_detl_check(x, a, b) is (exactalg.det(ref_matrix) == ref_product)
 
     # Fraction rows, some integral only, some with a non-integral entry,
-    # and mixed int/Fraction rows; int and Fraction weights
-    weights = (lambda s: sum(s) - 3, lambda s: Fraction(sum(s) + 1, 2 + len(s)))
-    for n in (0, 1, 2, 4):
+    # and mixed int/Fraction rows; int and Fraction skew weight matrices,
+    # each at a budget of exactly its subset count
+    entries = (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    for n in (0, 2, 4, 6):
         for trial in range(12):
             p = n + rng.randint(0, 3)
             if trial % 3 == 0:
@@ -265,9 +268,10 @@ def test_integer_pair_kernels_match_the_fraction_loops():
                      for _ in range(p)]
             else:
                 t = [[rational() for _ in range(n)] for _ in range(p)]
-            for weight in weights:
-                same(exactalg.sum_of_minors(t, n, weight, 35),
-                     sum_of_minors_per_minor(t, n, weight))
+            for entry in entries:
+                a = skew_matrix(p, entry)
+                same(exactalg.sum_of_minors(t, n, a, math.comb(p, n)),
+                     sum_of_minors_per_minor(t, n, principal_pfaffians(a)))
     # the budget is checked before any entry: a float over budget
     with pytest.raises(ResourceLimitError):
-        exactalg.sum_of_minors([[0.5], [1], [2]], 1, lambda s: 1, 2)
+        exactalg.sum_of_minors([[0.5, 1], [1, 1], [2, 1]], 2, [[0.5] * 3] * 3, 2)
